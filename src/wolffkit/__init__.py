@@ -26,8 +26,7 @@ from .verify import (BilateralReport, CapacityCheckResult, PhiReport,
                      existence_check, phi_nu, phi_sup, phi_sup_report,
                      verify_sandwich)
 from .wolff import (AtomicWolffOperator, GrowthProfile, PotentialField,
-                    riesz_potential, tail_exists, wolff_atomic, wolff_field,
-                    wolff_potential)
+                    riesz_potential, tail_exists, wolff_field, wolff_potential)
 
 __all__ = [
     "__version__",
@@ -40,8 +39,7 @@ __all__ = [
     "zero_measure",
     "QuadratureConfig", "QuadratureWarning",
     "AtomicWolffOperator", "GrowthProfile", "PotentialField",
-    "riesz_potential", "tail_exists", "wolff_atomic", "wolff_field",
-    "wolff_potential",
+    "riesz_potential", "tail_exists", "wolff_field", "wolff_potential",
     "KappaEstimate", "KappaProfile", "default_candidate_grid",
     "kappa_point_mass", "kappa_profile", "kappa_simplex_ascent",
     "ExtrapolationWarning", "intrinsic_potential", "intrinsic_tail_finite",

@@ -16,21 +16,21 @@ import json
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .corpus import gen_corpus
-from .embedding import KappaEstimate, KappaProfile, kappa_point_mass, \
-    kappa_profile, kappa_simplex_ascent
+from .embedding import KappaEstimate, KappaProfile, kappa_profile
 from .intrinsic import intrinsic_potential
-from .measure import (PointSet, as_atomic, load_measure, load_points,
-                      save_measure, to_dict, zero_measure)
+from .measure import (PointSet, load_measure, load_points, save_measure,
+                      zero_measure)
 from .params import ParamError, auto_q, validate_params
 from .quadrature import QuadratureConfig, QuadratureWarning
 from .solver import apply_T, solve_monotone
-from .verify import bilateral_bound, verify_sandwich
-from .wolff import riesz_potential, wolff_potential
+from .verify import bilateral_bound, default_bound_ladder, verify_sandwich
+from .wolff import PotentialField, riesz_potential, wolff_potential
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -46,13 +46,19 @@ def _parse_params(spec: str, preset: str | None):
     return validate_params(p, q, alpha, int(parts[3]), preset=preset)
 
 
+def _apply_env_overrides(args) -> None:
+    """WOLFFKIT_REL_TOL / WOLFFKIT_PANELS_PER_DECADE replace the flags, so
+    the config header records the settings actually used."""
+    if hasattr(args, "rel_tol"):
+        args.rel_tol = float(os.environ.get("WOLFFKIT_REL_TOL", args.rel_tol))
+        args.panels_per_decade = int(os.environ.get("WOLFFKIT_PANELS_PER_DECADE",
+                                                    args.panels_per_decade))
+
+
 def _quad_config(args) -> QuadratureConfig:
-    rel_tol = float(os.environ.get("WOLFFKIT_REL_TOL",
-                                   getattr(args, "rel_tol", 1e-8)))
-    panels = int(os.environ.get("WOLFFKIT_PANELS_PER_DECADE",
-                                getattr(args, "panels_per_decade", 32)))
-    return QuadratureConfig(rel_tol=rel_tol, panels_per_decade=panels,
-                            t_min_policy=getattr(args, "t_min_policy", "cell"))
+    return QuadratureConfig(rel_tol=args.rel_tol,
+                            panels_per_decade=args.panels_per_decade,
+                            t_min_policy=args.t_min_policy)
 
 
 def _header_lines(args, extra: dict | None = None) -> list[str]:
@@ -202,7 +208,6 @@ def _read_solve_csv(path: str, pr):
     for rec in csv.DictReader(rows):
         pts.append([float(v) for k, v in rec.items() if k.startswith("x")])
         uvals.append(float(rec["u"]))
-    from .wolff import PotentialField
     ps = PointSet(np.asarray(pts), tag="solve")
     return PotentialField(params=pr, points=ps, values=np.asarray(uvals))
 
@@ -215,28 +220,20 @@ def cmd_verify(args) -> int:
     u = _read_solve_csv(args.solve, pr)
     kprof, _ = _read_kappa_csv(args.kappa)
     # per-point bound: reuse the kappa ladder's resolution for each center
-    from .verify import default_bound_ladder
-    from .wolff import PotentialField
     n_ladder = len(kprof.radii)
     Rvals, term_rows = [], []
     for x in u.points.points:
-        if sigma.total_mass == 0.0:
-            R, terms = bilateral_bound(pr, sigma, mu, x, kprof, cfg)
-        else:
+        prof = kprof
+        if sigma.total_mass > 0.0:
             radii = default_bound_ladder(sigma, x, n_ladder)
             prof = kappa_profile(pr, sigma, x, radii, method="pointmass",
                                  cfg=cfg)
-            R, terms = bilateral_bound(pr, sigma, mu, x, prof, cfg)
+        R, terms = bilateral_bound(pr, sigma, mu, x, prof, cfg)
         Rvals.append(R)
         term_rows.append(terms)
     bound = PotentialField(params=pr, points=u.points, values=np.asarray(Rvals))
-
-    class _Rep:  # duck-typed shell around the CSV-loaded field
-        pass
-
-    rep = _Rep()
-    rep.u = u
-    br = verify_sandwich(pr, sigma, mu, rep, bound)
+    # verify_sandwich reads only .u of a solve report
+    br = verify_sandwich(pr, sigma, mu, SimpleNamespace(u=u), bound)
     tu = apply_T(pr, sigma, mu, u, cfg)
     resid = float(np.max(np.abs(u.values - tu.values))
                   / max(float(np.max(u.values)), 1e-300))
@@ -251,7 +248,8 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "ratios": br.ratios.tolist(),
         "terms": term_rows,
-        "kappa_direction": kprof.direction,
+        # direction of the profiles the bounds were built from
+        "kappa_direction": prof.direction,
         "version": __version__,
     }
     with open(args.out, "w") as f:
@@ -454,6 +452,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
     try:
+        _apply_env_overrides(args)
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureWarning)
             return args.func(args)

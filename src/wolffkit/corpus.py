@@ -70,12 +70,3 @@ def gen_corpus(seed: int, n: int, count: int,
         out.append((f"{fam}_{i:03d}", make_measure(fam, n, rng, atoms=atoms)))
     return out
 
-
-def atomic_corpus(seed: int, n: int, count: int, atoms: int = 48
-                  ) -> list[tuple[str, Measure]]:
-    """Corpus with every measure in atomic form (radial families
-    discretized), ready for the solver and embedding paths."""
-    out = []
-    for name, m in gen_corpus(seed, n, count, atoms=atoms):
-        out.append((name, as_atomic(m)))
-    return out

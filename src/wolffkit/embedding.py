@@ -25,7 +25,6 @@ class KappaEstimate:
     value: float
     direction: str  # "lower_bound" | "best_estimate"
     method: str     # "point_mass" | "simplex_ascent"
-    candidate_grid: PointSet | None = None
     iterations: int = 0
     concave_regime: bool = False
 
@@ -81,10 +80,10 @@ def kappa_point_mass(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
         raise ValueError("ball radius must be positive")
     zpts, zw, cell = _restricted_atoms(sigma, x, t)
     if zw.sum() == 0.0:
-        return KappaEstimate(0.0, "lower_bound", "point_mass", grid, 0, pr.p >= 2.0)
+        return KappaEstimate(0.0, "lower_bound", "point_mass", 0, pr.p >= 2.0)
     t_min = cfg.resolve_t_min(cell)
     vals = _point_mass_scan(pr, zpts, zw, grid.points, t_min)
-    return KappaEstimate(float(vals.max()), "lower_bound", "point_mass", grid,
+    return KappaEstimate(float(vals.max()), "lower_bound", "point_mass",
                          len(grid), pr.p >= 2.0)
 
 
@@ -119,7 +118,7 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
     zpts, zw, cell = _restricted_atoms(sigma, x, t)
     K = len(grid)
     if zw.sum() == 0.0:
-        return KappaEstimate(0.0, "best_estimate", "simplex_ascent", grid, 0, pr.p >= 2.0)
+        return KappaEstimate(0.0, "best_estimate", "simplex_ascent", 0, pr.p >= 2.0)
     t_min = cfg.resolve_t_min(cell)
     op = AtomicWolffOperator(pr, grid.points, zpts, t_min=t_min)
 
@@ -179,7 +178,7 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
             if not improved:
                 break
         best_val = max(best_val, fv)
-    return KappaEstimate(best_val, "best_estimate", "simplex_ascent", grid,
+    return KappaEstimate(best_val, "best_estimate", "simplex_ascent",
                          total_iters, pr.p >= 2.0)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 
@@ -29,6 +28,8 @@ class PointSet:
         object.__setattr__(self, "points", pts)
         if pts.size == 0:
             raise ValueError("PointSet must be non-empty")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("PointSet points must be finite")
         if len(np.unique(pts, axis=0)) != len(pts):
             raise ValueError("PointSet contains duplicate points")
 
@@ -67,6 +68,8 @@ class Measure:
             w = np.atleast_1d(np.asarray(self.weights, dtype=float))
             if len(pts) != len(w):
                 raise ValueError("points/weights length mismatch")
+            if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+                raise ValueError("atom points and weights must be finite")
             if np.any(w < 0):
                 raise ValueError("weights must be nonnegative")
             object.__setattr__(self, "points", pts)
@@ -77,6 +80,8 @@ class Measure:
             rho = np.atleast_1d(np.asarray(self.densities, dtype=float))
             if len(e) != len(rho) + 1:
                 raise ValueError("need len(bin_edges) == len(densities) + 1")
+            if not (np.all(np.isfinite(e)) and np.all(np.isfinite(rho))):
+                raise ValueError("bin_edges and densities must be finite")
             if e[0] != 0.0 or np.any(np.diff(e) <= 0):
                 raise ValueError("bin_edges must be strictly increasing from 0")
             if np.any(rho < 0):
@@ -154,12 +159,21 @@ def ball_mass_profile(m: Measure, x, ts: np.ndarray) -> np.ndarray:
     """Vector of ball masses over radii ts (each exact)."""
     x = np.asarray(x, dtype=float)
     if m.kind == "atomic":
-        d = np.sort(np.linalg.norm(m.points - x, axis=1))
-        order = np.argsort(np.linalg.norm(m.points - x, axis=1))
+        d = np.linalg.norm(m.points - x, axis=1)
+        order = np.argsort(d)
         cum = np.concatenate([[0.0], np.cumsum(m.weights[order])])
-        idx = np.searchsorted(d, np.asarray(ts, dtype=float), side="right")
+        idx = np.searchsorted(d[order], np.asarray(ts, dtype=float), side="right")
         return cum[idx]
     return np.array([ball_mass(m, x, t) for t in np.asarray(ts, dtype=float)])
+
+
+def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Index of the first row of `table` with exactly the coordinates of each
+    row of `rows`, or -1 where there is none."""
+    _, first, inv = np.unique(np.vstack([table, rows]), axis=0,
+                              return_index=True, return_inverse=True)
+    hit = first[inv.reshape(-1)[len(table):]]
+    return np.where(hit < len(table), hit, -1)
 
 
 def scale(m: Measure, lam: float) -> Measure:

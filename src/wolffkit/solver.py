@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .measure import Measure, PointSet, as_atomic
+from .measure import Measure, PointSet, _match_rows, as_atomic
 from .params import Params
 from .quadrature import QuadratureConfig
 from .wolff import AtomicWolffOperator, PotentialField, wolff_potential
@@ -43,19 +43,13 @@ class SolveGeometry:
                  points: PointSet | None, cfg: QuadratureConfig):
         self.pr = pr
         self.sigma_atomic = as_atomic(sigma)
-        self.cfg = cfg
         apts = self.sigma_atomic.points
         self.sigma_weights = self.sigma_atomic.weights
         self.n_atoms = len(apts)
         extra = np.empty((0, apts.shape[1]))
         if points is not None:
             # keep only eval points that are not sigma atoms
-            keep = []
-            for xp in points.points:
-                if not np.any(np.all(np.isclose(apts, xp), axis=1)):
-                    keep.append(xp)
-            if keep:
-                extra = np.array(keep)
+            extra = points.points[_match_rows(points.points, apts) < 0]
         self.all_points = np.vstack([apts, extra])
         self.t_min = cfg.resolve_t_min(self.sigma_atomic.cell_size)
         self.op = AtomicWolffOperator(pr, apts, self.all_points, t_min=self.t_min)
@@ -80,25 +74,14 @@ def apply_T(pr: Params, sigma: Measure, mu: Measure, u: PotentialField,
     u's point set must contain every sigma atom (those values close the
     measure u^q dsigma); monotone in u.
     """
-    cfg = cfg or QuadratureConfig()
-    sa = as_atomic(sigma)
-    t_min = cfg.resolve_t_min(sa.cell_size)
-    upts = u.points.points
-    idx = []
-    for a in sa.points:
-        hits = np.nonzero(np.all(np.isclose(upts, a), axis=1))[0]
-        if len(hits) == 0:
-            raise ValueError("u must be defined at every sigma atom")
-        idx.append(hits[0])
-    u_atoms = u.values[np.asarray(idx)]
-    if np.any(~np.isfinite(u_atoms) & (sa.weights > 0)):
-        vals = np.full(len(upts), math.inf)
-        return PotentialField(params=pr, points=u.points, values=vals, t_min=t_min)
-    weights = u_atoms ** pr.q * sa.weights
-    op = AtomicWolffOperator(pr, sa.points, upts, t_min=t_min)
-    w_mu = np.array([wolff_potential(pr, mu, x, cfg) for x in upts])
-    vals = op.apply(weights) + w_mu
-    return PotentialField(params=pr, points=u.points, values=vals, t_min=t_min)
+    geo = SolveGeometry(pr, sigma, mu, u.points, cfg or QuadratureConfig())
+    # position in u of each point of the coupled set (atoms first)
+    perm = _match_rows(geo.all_points, u.points.points)
+    if np.any(perm < 0):
+        raise ValueError("u must be defined at every sigma atom")
+    vals = np.empty(len(u.points))
+    vals[perm] = geo.apply(u.values[perm])
+    return PotentialField(params=pr, points=u.points, values=vals, t_min=geo.t_min)
 
 
 def solve_monotone(pr: Params, sigma: Measure, mu: Measure,

@@ -15,7 +15,8 @@ import numpy as np
 
 from .embedding import KappaProfile
 from .intrinsic import intrinsic_potential, intrinsic_tail_finite
-from .measure import Measure, PointSet, as_atomic, restrict, ball_mass
+from .measure import (Measure, PointSet, _match_rows, as_atomic, atomic,
+                      ball_mass, restrict)
 from .params import Params
 from .quadrature import QuadratureConfig
 from .solver import SolveReport
@@ -112,8 +113,6 @@ def default_phi_family(pr: Params, sigma: Measure,
     """The proof-guided candidate family: sigma itself, point masses on a
     probe grid, the solver measure u^q dsigma, and truncations
     sigma|_{B(0,R)}."""
-    from .measure import atomic
-
     family: list[tuple[str, Measure]] = []
     if sigma.total_mass > 0:
         family.append(("sigma", sigma))
@@ -122,8 +121,7 @@ def default_phi_family(pr: Params, sigma: Measure,
             family.append((f"delta_{i}", atomic(y[None, :], [1.0])))
     if u is not None:
         sa = as_atomic(sigma)
-        idx = _match_atoms(sa.points, u.points.points)
-        w = u.values[idx] ** pr.q * sa.weights
+        w = _uq_sigma_weights(pr, sa, u)
         if np.all(np.isfinite(w)) and w.sum() > 0:
             family.append(("u^q dsigma",
                            atomic(sa.points, w, cell_size=sa.cell_size)))
@@ -138,14 +136,12 @@ def default_phi_family(pr: Params, sigma: Measure,
     return family
 
 
-def _match_atoms(atoms: np.ndarray, points: np.ndarray) -> np.ndarray:
-    idx = []
-    for a in atoms:
-        hits = np.nonzero(np.all(np.isclose(points, a), axis=1))[0]
-        if len(hits) == 0:
-            raise ValueError("field does not cover every sigma atom")
-        idx.append(hits[0])
-    return np.asarray(idx)
+def _uq_sigma_weights(pr: Params, sa: Measure, u: PotentialField) -> np.ndarray:
+    """Atom weights of u^q dsigma, from u's values at the atoms of sa."""
+    idx = _match_rows(sa.points, u.points.points)
+    if np.any(idx < 0):
+        raise ValueError("field does not cover every sigma atom")
+    return u.values[idx] ** pr.q * sa.weights
 
 
 def phi_sup_report(pr: Params, sigma: Measure, points: PointSet,
@@ -303,8 +299,7 @@ def ball_capacity_check(pr: Params, sigma: Measure, radii,
     ineq_c = None
     if u is not None and verdict == "passes":
         sa = as_atomic(sigma)
-        idx = _match_atoms(sa.points, u.points.points)
-        uq = u.values[idx] ** pr.q * sa.weights
+        uq = _uq_sigma_weights(pr, sa, u)
         d = np.linalg.norm(sa.points, axis=1)
         consts = []
         for r in radii:

@@ -34,7 +34,6 @@ class PotentialField:
     points: PointSet
     values: np.ndarray
     t_min: float = 0.0
-    t_max: float = math.inf
 
     def __post_init__(self):
         vals = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -80,34 +79,16 @@ def _support_distance(m: Measure, x: np.ndarray) -> float:
     return best
 
 
-def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = None,
-                    t_min: float | None = None, method: str = "auto") -> float:
-    """Wolff potential of m at x.
+def _layer_cake(m: Measure, x: np.ndarray, s: float, pm1: float, t_min: float,
+                cfg: QuadratureConfig) -> float:
+    """Integral of [m(B(x,t)) / t^s]^{1/pm1} dt/t over t > t_min: the Wolff
+    integrand with pm1 = p - 1, the Riesz one (over n - beta) with pm1 = 1.
 
-    t_min overrides the config's truncation policy; method is "auto"
-    (closed form for atomic, quadrature for radial), "exact", or
-    "quadrature".
+    Closed-form power head below the first breakpoint when m is density-like
+    at x, log-panel quadrature up to T = |x| + support_radius, exact tail.
     """
-    cfg = cfg or QuadratureConfig()
-    x = np.asarray(x, dtype=float)
-    if t_min is None:
-        t_min = cfg.resolve_t_min(m.cell_size)
+    delta = 1.0 / pm1
     M = m.total_mass
-    if M == 0.0:
-        return 0.0
-    s = pr.s
-    if s <= 0.0:
-        return math.inf
-    if method == "auto":
-        method = "exact" if m.kind == "atomic" else "quadrature"
-    if method == "exact":
-        if m.kind != "atomic":
-            raise ValueError("exact evaluation requires an atomic measure")
-        return wolff_atomic(pr, m.points, m.weights, x, t_min)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-
-    delta = pr.delta
     T = float(np.linalg.norm(x)) + m.support_radius
     d0 = _support_distance(m, x)
     if m.kind == "atomic" and t_min == 0.0 and d0 == 0.0:
@@ -116,7 +97,7 @@ def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = No
     tail_start = max(T, t_min)
     if tail_start == 0.0:
         return math.inf  # all mass at x itself, untruncated
-    tail = (pr.p - 1.0) / s * M ** delta * tail_start ** (-s * delta)
+    tail = pm1 / s * M ** delta * tail_start ** (-s * delta)
 
     start = max(t_min, d0)
     head = 0.0
@@ -129,7 +110,7 @@ def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = No
         h0 = min(h0, T)
         c = ball_mass(m, x, h0) / h0 ** m.dim
         if c > 0.0:
-            head = c ** delta * (pr.p - 1.0) / (m.dim - s) * h0 ** ((m.dim - s) * delta)
+            head = c ** delta * pm1 / (m.dim - s) * h0 ** ((m.dim - s) * delta)
         start = h0
     if start < T:
         def g(ts):
@@ -142,30 +123,36 @@ def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = No
         quad = integrate_dt_over_t(g, start, T, _breakpoints(m, x), cfg)
     else:
         quad = 0.0
-        tail = (pr.p - 1.0) / s * M ** delta * max(start, tail_start) ** (-s * delta)
+        tail = pm1 / s * M ** delta * max(start, tail_start) ** (-s * delta)
     return head + quad + tail
 
 
-def wolff_atomic(pr: Params, points: np.ndarray, weights: np.ndarray, x,
-                 t_min: float = 0.0) -> float:
-    """Closed-form Wolff potential of an atomic measure at a single point."""
-    s, delta = pr.s, pr.delta
-    if s <= 0.0:
-        return math.inf if weights.sum() > 0 else 0.0
-    d = np.linalg.norm(points - np.asarray(x, dtype=float), axis=1)
-    order = np.argsort(d)
-    dsort = d[order]
-    Mcum = np.cumsum(weights[order])
-    if Mcum[-1] == 0.0:
+def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = None,
+                    t_min: float | None = None, method: str = "auto") -> float:
+    """Wolff potential of m at x.
+
+    t_min overrides the config's truncation policy; method is "auto"
+    (closed form for atomic, quadrature for radial), "exact", or
+    "quadrature".
+    """
+    cfg = cfg or QuadratureConfig()
+    x = np.asarray(x, dtype=float)
+    if t_min is None:
+        t_min = cfg.resolve_t_min(m.cell_size)
+    if m.total_mass == 0.0:
         return 0.0
-    a = np.maximum(dsort, t_min)
-    with np.errstate(divide="ignore"):
-        b = a ** (-s * delta)
-    b_next = np.concatenate([b[1:], [0.0]])
-    coef = (pr.p - 1.0) / s * (b - b_next)
-    live = Mcum > 0
-    terms = np.where(live, coef * np.where(live, Mcum, 1.0) ** delta, 0.0)
-    return float(np.sum(terms))
+    if pr.s <= 0.0:
+        return math.inf
+    if method == "auto":
+        method = "exact" if m.kind == "atomic" else "quadrature"
+    if method == "exact":
+        if m.kind != "atomic":
+            raise ValueError("exact evaluation requires an atomic measure")
+        op = AtomicWolffOperator(pr, m.points, x[None, :], t_min)
+        return float(op.apply(m.weights)[0])
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    return _layer_cake(m, x, pr.s, pr.p - 1.0, t_min, cfg)
 
 
 class AtomicWolffOperator:
@@ -195,24 +182,25 @@ class AtomicWolffOperator:
         b_next = np.concatenate([b[:, 1:], np.zeros((len(b), 1))], axis=1)
         self.coef = (pr.p - 1.0) / s * (b - b_next)
 
-    def apply(self, weights: np.ndarray) -> np.ndarray:
-        """Wolff potential of the measure with given atom weights, at every
-        eval point."""
-        delta = self.pr.delta
+    def _shell_terms(self, weights: np.ndarray):
+        """Cumulative ball masses M along each sorted row, their live mask
+        M > 0, and the per-shell terms coef * M^delta (0 where M = 0)."""
         Mcum = np.cumsum(weights[self.idx], axis=1)
         live = Mcum > 0
         with np.errstate(invalid="ignore"):
-            terms = np.where(live, self.coef * np.where(live, Mcum, 1.0) ** delta, 0.0)
-        return terms.sum(axis=1)
+            terms = self.coef * np.where(live, Mcum, 1.0) ** self.pr.delta
+        return Mcum, live, np.where(live, terms, 0.0)
+
+    def apply(self, weights: np.ndarray) -> np.ndarray:
+        """Wolff potential of the measure with given atom weights, at every
+        eval point."""
+        return self._shell_terms(weights)[2].sum(axis=1)
 
     def apply_with_grad(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values plus the Jacobian d W(z) / d w_k (clipped where the
         one-sided derivative is infinite for p > 2 at zero mass)."""
         delta = self.pr.delta
-        Mcum = np.cumsum(weights[self.idx], axis=1)
-        live = Mcum > 0
-        with np.errstate(invalid="ignore"):
-            terms = np.where(live, self.coef * np.where(live, Mcum, 1.0) ** delta, 0.0)
+        Mcum, live, terms = self._shell_terms(weights)
         vals = terms.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             mpow = np.where(live, np.where(live, Mcum, 1.0) ** (delta - 1.0),
@@ -255,29 +243,7 @@ def riesz_potential(beta: float, m: Measure, x,
             vals = np.where(live, m.weights * d ** (beta - n), 0.0)
         return float(vals.sum())
     # layer-cake form: (n - beta) * int m(B(x,t)) t^{beta-n} dt/t
-    cfg = cfg or QuadratureConfig()
-    M = m.total_mass
-    T = float(np.linalg.norm(x)) + m.support_radius
-    tail = M * T ** (beta - n)
-    d0 = _support_distance(m, x)
-    head = 0.0
-    start = d0
-    if d0 == 0.0:
-        bps = _breakpoints(m, x)
-        pos = bps[bps > 0]
-        h0 = min(float(pos[0]) if len(pos) else T, T)
-        c = ball_mass(m, x, h0) / h0 ** n
-        head = (n - beta) / beta * c * h0 ** beta
-        start = h0
-    if start < T:
-        def g(ts):
-            masses = np.array([ball_mass(m, x, t) for t in ts])
-            return (n - beta) * masses * ts ** (beta - n)
-
-        quad = integrate_dt_over_t(g, start, T, _breakpoints(m, x), cfg)
-    else:
-        quad = 0.0
-    return head + quad + tail
+    return (n - beta) * _layer_cake(m, x, n - beta, 1.0, 0.0, cfg or QuadratureConfig())
 
 
 def tail_exists(pr: Params, profile: Measure | GrowthProfile) -> str:

@@ -145,3 +145,37 @@ def test_env_var_overrides_tolerance(workdir, monkeypatch):
                "--points", str(workdir / "pts.json"),
                "--out", str(workdir / "x.csv")])
     assert rc == 3
+
+
+def test_verify_reports_direction_of_profiles_used(tmp_path):
+    """verify bounds every point with point-mass kappa profiles, which are
+    lower bounds, whatever method made the --kappa file."""
+    pts = np.array([[0.5, 0.2, 0.0], [-0.4, 0.3, 0.1], [0.1, -0.6, 0.2]])
+    save_measure(atomic(pts, [0.5, 0.3, 0.2], cell_size=0.3),
+                 tmp_path / "sigma.json")
+    sol, kap, audit = (tmp_path / n for n in ("sol.csv", "kap.csv", "audit.json"))
+    sigma = str(tmp_path / "sigma.json")
+    assert main(["solve", "--params", "2,0.5,1,3", "--sigma", sigma,
+                 "--u0", "seeded", "--out", str(sol)]) == 0
+    assert main(["kappa", "--params", "2,0.5,1,3", "--sigma", sigma,
+                 "--center", "0,0,0", "--radii", "0.1:2:4", "--method", "ascent",
+                 "--out", str(kap)]) == 0
+    _, rows = _read_csv(kap)
+    assert {r["direction"] for r in rows} == {"best_estimate"}
+    assert main(["verify", "--params", "2,0.5,1,3", "--sigma", sigma,
+                 "--solve", str(sol), "--kappa", str(kap),
+                 "--out", str(audit)]) in (0, 1)
+    assert json.loads(audit.read_text())["kappa_direction"] == "lower_bound"
+
+
+def test_config_header_records_env_overrides(workdir, monkeypatch):
+    monkeypatch.setenv("WOLFFKIT_PANELS_PER_DECADE", "48")
+    monkeypatch.setenv("WOLFFKIT_REL_TOL", "1e-7")
+    out = workdir / "pot.csv"
+    assert main(["potential", "--params", "2,0.5,1,3",
+                 "--measure", str(workdir / "sigma.json"),
+                 "--points", str(workdir / "pts.json"), "--out", str(out)]) == 0
+    header, _ = _read_csv(out)
+    cfg = json.loads(header[0].split(":", 1)[1])
+    assert cfg["panels_per_decade"] == 48
+    assert cfg["rel_tol"] == 1e-7

@@ -8,7 +8,7 @@ from wolffkit import (Measure, PointSet, as_atomic, atomic, ball_mass,
                       ball_mass_profile, ball_volume, combine,
                       intersection_volume, load_measure, radial, restrict,
                       save_measure, scale, zero_measure)
-from wolffkit.measure import from_dict, to_dict
+from wolffkit.measure import _match_rows, from_dict, to_dict
 
 
 def test_intersection_volume_monte_carlo_oracle():
@@ -142,6 +142,31 @@ def test_invalid_measures_rejected():
         radial([0.5, 1.0], [1.0], 3)  # edges not from 0
     with pytest.raises(ValueError):
         radial([0.0, 1.0], [-1.0], 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: atomic(np.zeros((2, 3)), [np.nan, 1.0]),
+    lambda: atomic(np.zeros((1, 3)), [np.inf]),
+    lambda: atomic(np.array([[np.inf, 0.0, 0.0]]), [1.0]),
+    lambda: atomic(np.array([[np.nan, 0.0, 0.0]]), [1.0]),
+    lambda: radial([0.0, 1.0, np.inf], [1.0, 0.0], 3),
+    lambda: radial([0.0, 1.0], [np.nan], 3),
+    lambda: radial([0.0, 1.0], [np.inf], 3),
+    lambda: PointSet(np.array([[0.0, np.nan, 0.0]])),
+    lambda: PointSet(np.array([[0.0, 0.0, -np.inf]])),
+], ids=["nan_weight", "inf_weight", "inf_atom", "nan_atom", "inf_edge",
+        "nan_density", "inf_density", "nan_point", "inf_point"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_match_rows_is_exact_and_takes_first_hit():
+    table = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [0.5, 0.5]])
+    rows = np.array([[1.0, 2.0], [0.5, 0.5 + 1e-12], [3.0, 4.0], [9.0, 9.0]])
+    loop = [next((j for j, t in enumerate(table) if np.array_equal(t, r)), -1)
+            for r in rows]
+    assert _match_rows(rows, table).tolist() == loop == [0, -1, 1, -1]
 
 
 def test_point_set_rejects_duplicates_and_empty():

@@ -116,6 +116,36 @@ def test_apply_T_requires_sigma_atom_coverage(pr213, sigma3, mu3):
         apply_T(pr213, sigma3, mu3, u)
 
 
+# atoms with coordinates of order 1, and a point 5e-6 from the first: a
+# relative tolerance of 1e-5 would take the two for one point
+NEAR_ATOMS = np.array([[1.0, 0.5, -0.8], [-0.7, 1.2, 0.9], [0.6, -1.1, 1.3],
+                       [-1.4, -0.6, -0.9]])
+NEIGHBOUR = NEAR_ATOMS[0] + np.array([5e-6, 0.0, 0.0])
+
+
+def test_solve_keeps_point_next_to_sigma_atom(pr213):
+    sigma = atomic(NEAR_ATOMS, [0.4, 0.3, 0.2, 0.1], cell_size=0.5)
+    rep = solve_monotone(pr213, sigma, zero_measure(3), PointSet(NEIGHBOUR),
+                         u0_mode="seeded")
+    assert rep.status == "converged"
+    assert len(rep.u.values) == len(NEAR_ATOMS) + 1
+    assert np.array_equal(rep.u.points.points[-1], NEIGHBOUR)
+
+
+def test_apply_T_reads_u_at_the_atom_not_its_neighbour(pr213, mu3):
+    from wolffkit import PotentialField
+    sigma = atomic(NEAR_ATOMS, [0.4, 0.3, 0.2, 0.1], cell_size=0.5)
+    alone = PotentialField(params=pr213, points=PointSet(NEAR_ATOMS),
+                           values=np.ones(len(NEAR_ATOMS)))
+    # the neighbour comes first and carries a very different value
+    both = PotentialField(params=pr213,
+                          points=PointSet(np.vstack([NEIGHBOUR, NEAR_ATOMS])),
+                          values=np.concatenate([[1000.0], alone.values]))
+    t_alone = apply_T(pr213, sigma, mu3, alone)
+    t_both = apply_T(pr213, sigma, mu3, both)
+    assert t_both.values[1:] == pytest.approx(t_alone.values, rel=1e-14)
+
+
 def test_classify_sub_super(pr213, sigma3, mu3):
     import dataclasses
     rep = solve_monotone(pr213, sigma3, mu3)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from wolffkit import (AtomicWolffOperator, GrowthProfile, PointSet,
                       QuadratureConfig, atomic, ball_volume, combine, radial,
                       riesz_potential, scale, tail_exists, validate_params,
-                      wolff_atomic, wolff_field, wolff_point_mass_value,
-                      wolff_potential, zero_measure)
+                      wolff_field, wolff_point_mass_value, wolff_potential,
+                      zero_measure)
 from conftest import random_atomic, random_params
 
 
@@ -144,12 +144,12 @@ def test_riesz_rejects_bad_order():
         riesz_potential(3.0, m, np.ones(3))
 
 
-def test_operator_matches_wolff_atomic(rng, pr213):
+def test_operator_rows_match_wolff_potential(rng, pr213):
     m = random_atomic(rng, n=3, k=9)
     evals = rng.normal(size=(6, 3)) * 2
     op = AtomicWolffOperator(pr213, m.points, evals, t_min=0.0)
     got = op.apply(m.weights)
-    want = [wolff_atomic(pr213, m.points, m.weights, x) for x in evals]
+    want = [wolff_potential(pr213, m, x, t_min=0.0) for x in evals]
     assert got == pytest.approx(want, rel=1e-13)
 
 
