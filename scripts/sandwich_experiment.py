@@ -19,9 +19,8 @@ import sys
 
 import numpy as np
 
-from wolffkit import (QuadratureConfig, as_atomic, bilateral_bound,
-                      default_bound_ladder, kappa_profile, solve_monotone,
-                      validate_params, zero_measure)
+from wolffkit import (PointSet, QuadratureConfig, as_atomic, bound_field,
+                      solve_monotone, validate_params, zero_measure)
 from wolffkit.corpus import gen_corpus
 
 
@@ -37,14 +36,11 @@ def run_triple(pr, corpus, tol, writer):
             continue
         pts = rep.u.points.points
         d = np.linalg.norm(pts, axis=1)
-        probes = {int(np.argmin(d)), int(np.argsort(d)[len(d) // 2]),
-                  int(np.argmax(d))}
-        for i in probes:
-            prof = kappa_profile(pr, sigma, pts[i],
-                                 default_bound_ladder(sigma, pts[i], 10),
-                                 cfg=cfg)
-            R, terms = bilateral_bound(pr, sigma, zero_measure(pr.n), pts[i],
-                                       prof, cfg)
+        probes = list({int(np.argmin(d)), int(np.argsort(d)[len(d) // 2]),
+                       int(np.argmax(d))})
+        bound, rows = bound_field(pr, sigma, zero_measure(pr.n),
+                                  PointSet(pts[probes]), 10, cfg)
+        for i, R, terms in zip(probes, bound.values.tolist(), rows):
             ratio = float(rep.u.values[i] / R)
             ratios.append(ratio)
             writer.writerow([pr.p, pr.q, pr.alpha, pr.n, name, i,

@@ -21,8 +21,8 @@ from .params import (ParamError, Params, auto_q, validate_params,
 from .quadrature import QuadratureConfig, QuadratureWarning
 from .solver import SolveReport, apply_T, classify_sub_super, solve_monotone
 from .verify import (BilateralReport, CapacityCheckResult, PhiReport,
-                     ball_capacity_check, bilateral_bound, check_lemma_34,
-                     default_bound_ladder, default_phi_family,
+                     ball_capacity_check, bilateral_bound, bound_field,
+                     check_lemma_34, default_bound_ladder, default_phi_family,
                      existence_check, phi_nu, phi_sup, phi_sup_report,
                      verify_sandwich)
 from .wolff import (AtomicWolffOperator, GrowthProfile, PotentialField,
@@ -45,7 +45,7 @@ __all__ = [
     "ExtrapolationWarning", "intrinsic_potential", "intrinsic_tail_finite",
     "SolveReport", "apply_T", "classify_sub_super", "solve_monotone",
     "BilateralReport", "CapacityCheckResult", "PhiReport",
-    "ball_capacity_check", "bilateral_bound", "check_lemma_34",
+    "ball_capacity_check", "bilateral_bound", "bound_field", "check_lemma_34",
     "default_bound_ladder",
     "default_phi_family", "existence_check", "phi_nu", "phi_sup",
     "phi_sup_report", "verify_sandwich",

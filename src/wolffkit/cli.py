@@ -29,8 +29,8 @@ from .measure import (PointSet, load_measure, load_points, save_measure,
 from .params import ParamError, auto_q, validate_params
 from .quadrature import QuadratureConfig, QuadratureWarning
 from .solver import apply_T, solve_monotone
-from .verify import bilateral_bound, default_bound_ladder, verify_sandwich
-from .wolff import PotentialField, riesz_potential, wolff_potential
+from .verify import bound_field, verify_sandwich
+from .wolff import PotentialField, riesz_potential, wolff_field
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -95,12 +95,9 @@ def cmd_potential(args) -> int:
     pr = _parse_params(args.params, args.preset)
     m = load_measure(args.measure)
     pts = load_points(args.points)
-    cfg = _quad_config(args)
-    t_min = cfg.resolve_t_min(m.cell_size)
-    rows = []
-    for x in pts.points:
-        v = wolff_potential(pr, m, x, cfg)
-        rows.append(list(x) + [v, t_min])
+    field = wolff_field(pr, m, pts, _quad_config(args))
+    rows = [list(x) + [v, field.t_min]
+            for x, v in zip(pts.points, field.values.tolist())]
     cols = [f"x{i}" for i in range(pts.dim)] + ["value", "trunc_t_min"]
     _write_csv(args.out, _header_lines(args), cols, rows)
     return EXIT_OK
@@ -123,8 +120,7 @@ def cmd_kappa(args) -> int:
     center = _parse_point(args.center)
     radii = _parse_radii(args.radii)
     cfg = _quad_config(args)
-    method = {"ascent": "ascent", "pointmass": "pointmass"}[args.method]
-    prof = kappa_profile(pr, sigma, center, radii, method=method, cfg=cfg)
+    prof = kappa_profile(pr, sigma, center, radii, method=args.method, cfg=cfg)
     rows = [[r, e.value, e.direction, e.method, e.iterations]
             for r, e in zip(prof.radii, prof.estimates)]
     hdr = _header_lines(args, {"saturation_radius": prof.saturation_radius,
@@ -134,34 +130,34 @@ def cmd_kappa(args) -> int:
     return EXIT_OK
 
 
-def _read_kappa_csv(path: str) -> tuple[KappaProfile, dict]:
+def _read_csv(path: str) -> tuple[dict, list[dict]]:
+    """The '# config:' header and the records of a CSV from _write_csv."""
     meta: dict = {}
     rows = []
     with open(path) as f:
         for line in f:
-            if line.startswith("#"):
-                if line.startswith("# config:"):
-                    meta = json.loads(line.split(":", 1)[1])
-                continue
-            rows.append(line.rstrip("\n"))
-    rdr = csv.DictReader(rows)
-    radii, ests = [], []
-    for rec in rdr:
-        radii.append(float(rec["radius"]))
-        ests.append(KappaEstimate(value=float(rec["value"]),
-                                  direction=rec["direction"],
-                                  method=rec["method"],
-                                  iterations=int(rec["iterations"])))
+            if line.startswith("# config:"):
+                meta = json.loads(line.split(":", 1)[1])
+            elif not line.startswith("#"):
+                rows.append(line.rstrip("\n"))
+    return meta, list(csv.DictReader(rows))
+
+
+def _read_kappa_csv(path: str) -> KappaProfile:
+    meta, recs = _read_csv(path)
+    radii = [float(rec["radius"]) for rec in recs]
+    ests = [KappaEstimate(value=float(rec["value"]), direction=rec["direction"],
+                          method=rec["method"], iterations=int(rec["iterations"]))
+            for rec in recs]
     center = np.asarray(meta.get("center", [0.0]), dtype=float)
     sat = float(meta.get("saturation_radius", radii[-1]))
-    prof = KappaProfile(center=center, radii=np.asarray(radii),
+    return KappaProfile(center=center, radii=np.asarray(radii),
                         estimates=ests, saturation_radius=sat)
-    return prof, meta
 
 
 def cmd_intrinsic(args) -> int:
     pr = _parse_params(args.params, args.preset)
-    prof, meta = _read_kappa_csv(args.kappa)
+    prof = _read_kappa_csv(args.kappa)
     cfg = _quad_config(args)
     value = intrinsic_potential(pr, prof, cfg)
     hdr = _header_lines(args, {"kappa_direction": prof.direction})
@@ -199,17 +195,12 @@ def cmd_solve(args) -> int:
 
 
 def _read_solve_csv(path: str, pr):
-    pts, uvals = [], []
-    rows = []
-    with open(path) as f:
-        for line in f:
-            if not line.startswith("#"):
-                rows.append(line.rstrip("\n"))
-    for rec in csv.DictReader(rows):
-        pts.append([float(v) for k, v in rec.items() if k.startswith("x")])
-        uvals.append(float(rec["u"]))
+    _, recs = _read_csv(path)
+    pts = [[float(v) for k, v in rec.items() if k.startswith("x")]
+           for rec in recs]
     ps = PointSet(np.asarray(pts), tag="solve")
-    return PotentialField(params=pr, points=ps, values=np.asarray(uvals))
+    return PotentialField(params=pr, points=ps,
+                          values=[float(rec["u"]) for rec in recs])
 
 
 def cmd_verify(args) -> int:
@@ -218,20 +209,9 @@ def cmd_verify(args) -> int:
     mu = load_measure(args.mu) if args.mu else zero_measure(sigma.dim)
     cfg = _quad_config(args)
     u = _read_solve_csv(args.solve, pr)
-    kprof, _ = _read_kappa_csv(args.kappa)
-    # per-point bound: reuse the kappa ladder's resolution for each center
-    n_ladder = len(kprof.radii)
-    Rvals, term_rows = [], []
-    for x in u.points.points:
-        prof = kprof
-        if sigma.total_mass > 0.0:
-            radii = default_bound_ladder(sigma, x, n_ladder)
-            prof = kappa_profile(pr, sigma, x, radii, method="pointmass",
-                                 cfg=cfg)
-        R, terms = bilateral_bound(pr, sigma, mu, x, prof, cfg)
-        Rvals.append(R)
-        term_rows.append(terms)
-    bound = PotentialField(params=pr, points=u.points, values=np.asarray(Rvals))
+    # the --kappa file sets the ladder length of every point's profile
+    n_ladder = len(_read_kappa_csv(args.kappa).radii)
+    bound, term_rows = bound_field(pr, sigma, mu, u.points, n_ladder, cfg)
     # verify_sandwich reads only .u of a solve report
     br = verify_sandwich(pr, sigma, mu, SimpleNamespace(u=u), bound)
     tu = apply_T(pr, sigma, mu, u, cfg)
@@ -248,8 +228,8 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "ratios": br.ratios.tolist(),
         "terms": term_rows,
-        # direction of the profiles the bounds were built from
-        "kappa_direction": prof.direction,
+        # the bounds' point-mass profiles are lower bounds; sigma = 0 uses none
+        "kappa_direction": "lower_bound" if sigma.total_mass > 0 else None,
         "version": __version__,
     }
     with open(args.out, "w") as f:
@@ -315,20 +295,17 @@ def _sweep_checks(pr, m, name, args):
     cfg = _quad_config(args)
     base = [pr.p, pr.q, pr.alpha, pr.n, name]
     out = []
-    x0 = np.zeros(m.dim)
-    w0 = wolff_potential(pr, m, x0, cfg)
-    out.append(base + ["wolff_at_origin", w0])
-    sat = m.support_radius
-    radii = np.geomspace(max(sat / 50, 1e-3), sat * 1.3, 10)
-    prof = kappa_profile(pr, m, x0, radii, method="pointmass", cfg=cfg)
-    out.append(base + ["kappa_total", float(prof.values[-1])])
-    K = intrinsic_potential(pr, prof, cfg)
-    out.append(base + ["intrinsic_at_origin", K])
-    rep = solve_monotone(pr, m, zero_measure(m.dim), None, "seeded",
+    mu = zero_measure(m.dim)
+    origin = PointSet(np.zeros((1, m.dim)))
+    bound, (row,) = bound_field(pr, m, mu, origin, 10, cfg)
+    out.append(base + ["wolff_at_origin", row["wolff_sigma"]])
+    out.append(base + ["kappa_total", row["kappa_total"]])
+    out.append(base + ["intrinsic_at_origin", row["intrinsic_term"]])
+    rep = solve_monotone(pr, m, mu, None, "seeded",
                          args.tol, args.max_iter, cfg)
     out.append(base + ["solve_iterations", rep.iterations])
     out.append(base + ["solve_sup_u", float(np.max(rep.u.values))])
-    R = w0 ** pr.gamma + K
+    R = float(bound.values[0])
     if R > 0 and np.isfinite(R):
         # ratio at origin only when it belongs to the solve set; else sup-based
         out.append(base + ["sandwich_sup_ratio", float(np.max(rep.u.values)) / R])

@@ -183,7 +183,7 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
 
 
 def kappa_profile(pr: Params, sigma: Measure, x, radii, method: str = "pointmass",
-                  grid: PointSet | None = None, cfg: QuadratureConfig | None = None,
+                  cfg: QuadratureConfig | None = None,
                   **ascent_kwargs) -> KappaProfile:
     """kappa(B(x,t)) on an increasing radius ladder, with running maxima
     enforcing monotonicity and the estimate frozen past saturation."""
@@ -200,7 +200,7 @@ def kappa_profile(pr: Params, sigma: Measure, x, radii, method: str = "pointmass
         if prev is not None and radii[len(estimates) - 1] >= sat:
             estimates.append(prev)  # ball already covers supp sigma
             continue
-        g = grid if grid is not None else default_candidate_grid(sigma, x, t)
+        g = default_candidate_grid(sigma, x, t)
         if method == "pointmass":
             est = kappa_point_mass(pr, sigma, x, t, g, cfg)
         elif method == "ascent":

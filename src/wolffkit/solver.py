@@ -18,7 +18,7 @@ import numpy as np
 from .measure import Measure, PointSet, _match_rows, as_atomic
 from .params import Params
 from .quadrature import QuadratureConfig
-from .wolff import AtomicWolffOperator, PotentialField, wolff_potential
+from .wolff import AtomicWolffOperator, PotentialField, wolff_field
 
 RESIDUAL_FLOOR = 1e-300
 DIVERGENCE_CEILING_FACTOR = 1e12
@@ -42,21 +42,24 @@ class SolveGeometry:
     def __init__(self, pr: Params, sigma: Measure, mu: Measure,
                  points: PointSet | None, cfg: QuadratureConfig):
         self.pr = pr
-        self.sigma_atomic = as_atomic(sigma)
-        apts = self.sigma_atomic.points
-        self.sigma_weights = self.sigma_atomic.weights
+        sa = as_atomic(sigma)
+        # merge coincident atoms in first-occurrence order; else keep sigma's arrays
+        apts, self.sigma_weights = sa.points, sa.weights
+        first = _match_rows(apts, apts)
+        keep = first == np.arange(len(first))
+        if not keep.all():
+            apts = apts[keep]
+            self.sigma_weights = np.bincount(first, sa.weights, len(first))[keep]
         self.n_atoms = len(apts)
         extra = np.empty((0, apts.shape[1]))
         if points is not None:
             # keep only eval points that are not sigma atoms
             extra = points.points[_match_rows(points.points, apts) < 0]
         self.all_points = np.vstack([apts, extra])
-        self.t_min = cfg.resolve_t_min(self.sigma_atomic.cell_size)
+        self.points = PointSet(points=self.all_points, tag="solve")
+        self.t_min = cfg.resolve_t_min(sa.cell_size)
         self.op = AtomicWolffOperator(pr, apts, self.all_points, t_min=self.t_min)
-        self.w_mu = np.array([wolff_potential(pr, mu, x, cfg) for x in self.all_points])
-
-    def point_set(self, tag: str = "solve") -> PointSet:
-        return PointSet(points=self.all_points, tag=tag)
+        self.w_mu = wolff_field(pr, mu, self.points, cfg).values
 
     def apply(self, u_vals: np.ndarray) -> np.ndarray:
         """One application T u = W(u^q dsigma) + W mu on the coupled set."""
@@ -140,7 +143,7 @@ def solve_monotone(pr: Params, sigma: Measure, mu: Measure,
             status = "converged"
             break
 
-    field = PotentialField(params=pr, points=geo.point_set(), values=u,
+    field = PotentialField(params=pr, points=geo.points, values=u,
                            t_min=geo.t_min)
     return SolveReport(u=field, iterations=it, residual_history=history,
                        status=status, u0_mode=u0_mode, seed_constant=seed_c,

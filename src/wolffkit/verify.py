@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .embedding import KappaProfile
+from .embedding import KappaProfile, kappa_profile
 from .intrinsic import intrinsic_potential, intrinsic_tail_finite
 from .measure import (Measure, PointSet, _match_rows, as_atomic, atomic,
                       ball_mass, restrict)
@@ -21,7 +21,7 @@ from .params import Params
 from .quadrature import QuadratureConfig
 from .solver import SolveReport
 from .wolff import (AtomicWolffOperator, GrowthProfile, PotentialField,
-                    tail_exists, wolff_potential)
+                    _wolff_rows, tail_exists, wolff_potential)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,8 +33,6 @@ class BilateralReport:
     ratios: np.ndarray
     c1_emp: float
     c2_emp: float
-    terms: dict
-    kappa_direction: str = "lower_bound"
     flagged: list[int] = dataclasses.field(default_factory=list)
 
 
@@ -73,9 +71,8 @@ def _wolff_of_wnu_q_dsigma(pr: Params, sigma: Measure, nu: Measure, x,
     sa = as_atomic(sigma)
     if sa.weights.sum() == 0.0:
         return 0.0
-    t_min_nu = cfg.resolve_t_min(nu.cell_size)
-    wnu_at_atoms = np.array(
-        [wolff_potential(pr, nu, a, cfg, t_min=t_min_nu) for a in sa.points])
+    wnu_at_atoms = _wolff_rows(pr, nu, sa.points,
+                               cfg.resolve_t_min(nu.cell_size), cfg, "auto")
     if np.any(~np.isfinite(wnu_at_atoms) & (sa.weights > 0)):
         return math.inf
     weights = wnu_at_atoms ** pr.q * sa.weights
@@ -178,10 +175,9 @@ def check_lemma_34(pr: Params, sigma: Measure, nu: Measure, x,
     return num / denom
 
 
-def default_bound_ladder(sigma: Measure, x, n_ladder: int = 10,
-                         span: float = 30.0,
-                         max_factor: float = 1.2) -> np.ndarray:
-    """Radius ladder for the kappa profile feeding the bilateral bound.
+def default_bound_ladder(sigma: Measure, x, n_ladder: int = 10) -> np.ndarray:
+    """Radius ladder for the kappa profile feeding the bilateral bound:
+    n_ladder rungs from sat/30 to 1.2 sat, sat = |x| + support radius.
 
     Starts no lower than the measure's cell scale: below it kappa reflects
     only the truncated point-mass floor of the discrete surrogate, and power
@@ -190,41 +186,63 @@ def default_bound_ladder(sigma: Measure, x, n_ladder: int = 10,
     sat = float(np.linalg.norm(np.asarray(x, dtype=float))) + sigma.support_radius
     if sat <= 0.0:
         raise ValueError("degenerate ladder: measure and center at the origin")
-    lo = sat / span
+    lo = sat / 30.0
     if sigma.cell_size:
         lo = max(lo, float(sigma.cell_size))
     lo = min(lo, sat / 2.0)  # keep part of the ladder below saturation
-    return np.geomspace(lo, sat * max_factor, n_ladder)
+    return np.geomspace(lo, sat * 1.2, n_ladder)
 
 
 def bilateral_bound(pr: Params, sigma: Measure, mu: Measure, x,
-                    profile: KappaProfile, cfg: QuadratureConfig | None = None
-                    ) -> tuple[float, dict]:
+                    profile: KappaProfile | None,
+                    cfg: QuadratureConfig | None = None) -> tuple[float, dict]:
     """R(x) = (W sigma(x))^gamma + K sigma(x) + W mu(x), with the three terms
-    reported separately (the responsible term is identifiable when R = inf)."""
+    and W sigma(x) reported separately (the responsible term is identifiable
+    when R = inf).  profile, the kappa profile about x, may be None when
+    sigma has no mass."""
     cfg = cfg or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     wsig = wolff_potential(pr, sigma, x, cfg)
     wterm = wsig ** pr.gamma if math.isfinite(wsig) else math.inf
     kterm = intrinsic_potential(pr, profile, cfg) if sigma.total_mass > 0 else 0.0
     mterm = wolff_potential(pr, mu, x, cfg)
-    terms = {"wolff_term": wterm, "intrinsic_term": kterm, "mu_term": mterm}
+    terms = {"wolff_term": wterm, "intrinsic_term": kterm, "mu_term": mterm,
+             "wolff_sigma": wsig}
     return wterm + kterm + mterm, terms
 
 
+def bound_field(pr: Params, sigma: Measure, mu: Measure, points: PointSet,
+                n_ladder: int, cfg: QuadratureConfig | None = None
+                ) -> tuple[PotentialField, list[dict]]:
+    """R over a point set: at each point a point-mass kappa profile on
+    default_bound_ladder (none when sigma has no mass) feeds bilateral_bound.
+    Each row holds that point's terms plus the profile's kappa_total."""
+    cfg = cfg or QuadratureConfig()
+    vals, rows = [], []
+    for x in points.points:
+        prof = None
+        if sigma.total_mass > 0.0:
+            prof = kappa_profile(pr, sigma, x,
+                                 default_bound_ladder(sigma, x, n_ladder),
+                                 method="pointmass", cfg=cfg)
+        R, terms = bilateral_bound(pr, sigma, mu, x, prof, cfg)
+        vals.append(R)
+        rows.append({**terms, "kappa_total": float(prof.values[-1]) if prof else 0.0})
+    return PotentialField(params=pr, points=points, values=vals), rows
+
+
 def verify_sandwich(pr: Params, sigma: Measure, mu: Measure,
-                    solve_report: SolveReport, bound_field: PotentialField,
-                    plausibility_window: tuple[float, float] = (1e-6, 1e6)
+                    solve_report: SolveReport, bound: PotentialField
                     ) -> BilateralReport:
     """Ratios u/R per point with empirical sandwich constants c1 = min,
     c2 = max.  The theory guarantees both are positive and finite with
     values depending only on the exponents; stability across a corpus is the
-    assertable invariant, not particular numbers."""
+    assertable invariant, not particular numbers.  Ratios outside
+    [1e-6, 1e6] are flagged as implausible."""
     u = solve_report.u
-    if len(u.points) != len(bound_field.points) or not np.allclose(
-            u.points.points, bound_field.points.points):
+    if not np.array_equal(u.points.points, bound.points.points):
         raise ValueError("solution and bound fields must share a point set")
-    uv, rv = u.values, bound_field.values
+    uv, rv = u.values, bound.values
     ok = np.isfinite(uv) & np.isfinite(rv) & (rv > 0)
     ratios = np.full(len(uv), math.nan)
     ratios[ok] = uv[ok] / rv[ok]
@@ -232,11 +250,10 @@ def verify_sandwich(pr: Params, sigma: Measure, mu: Measure,
     if len(finite) == 0:
         raise ValueError("no finite ratios to audit")
     c1, c2 = float(finite.min()), float(finite.max())
-    lo, hi = plausibility_window
     flagged = [int(i) for i in np.nonzero(
-        np.isfinite(ratios) & ((ratios < lo) | (ratios > hi)))[0]]
-    return BilateralReport(R=bound_field, ratios=ratios, c1_emp=c1, c2_emp=c2,
-                           terms={}, flagged=flagged)
+        np.isfinite(ratios) & ((ratios < 1e-6) | (ratios > 1e6)))[0]]
+    return BilateralReport(R=bound, ratios=ratios, c1_emp=c1, c2_emp=c2,
+                           flagged=flagged)
 
 
 def existence_check(pr: Params, sigma_profile, mu_profile,

@@ -139,20 +139,28 @@ def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = No
     x = np.asarray(x, dtype=float)
     if t_min is None:
         t_min = cfg.resolve_t_min(m.cell_size)
+    return float(_wolff_rows(pr, m, x[None, :], t_min, cfg, method)[0])
+
+
+def _wolff_rows(pr: Params, m: Measure, pts: np.ndarray, t_min: float,
+                cfg: QuadratureConfig, method: str) -> np.ndarray:
+    """Wolff potential of m at each row of pts: zeros for zero mass, inf
+    for s <= 0, one closed-form operator over all rows for an atomic m, the
+    layer-cake quadrature row by row otherwise."""
     if m.total_mass == 0.0:
-        return 0.0
+        return np.zeros(len(pts))
     if pr.s <= 0.0:
-        return math.inf
+        return np.full(len(pts), math.inf)
     if method == "auto":
         method = "exact" if m.kind == "atomic" else "quadrature"
     if method == "exact":
         if m.kind != "atomic":
             raise ValueError("exact evaluation requires an atomic measure")
-        op = AtomicWolffOperator(pr, m.points, x[None, :], t_min)
-        return float(op.apply(m.weights)[0])
+        return AtomicWolffOperator(pr, m.points, pts, t_min).apply(m.weights)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return _layer_cake(m, x, pr.s, pr.p - 1.0, t_min, cfg)
+    return np.array([_layer_cake(m, x, pr.s, pr.p - 1.0, t_min, cfg)
+                     for x in pts])
 
 
 class AtomicWolffOperator:
@@ -214,14 +222,12 @@ class AtomicWolffOperator:
 
 
 def wolff_field(pr: Params, m: Measure, points: PointSet,
-                cfg: QuadratureConfig | None = None,
-                t_min: float | None = None) -> PotentialField:
-    """Wolff potential evaluated over a point set."""
+                cfg: QuadratureConfig | None = None) -> PotentialField:
+    """Wolff potential evaluated over a point set, with the special cases
+    of wolff_potential; an atomic m builds one operator for all points."""
     cfg = cfg or QuadratureConfig()
-    if t_min is None:
-        t_min = cfg.resolve_t_min(m.cell_size)
-    vals = np.array([wolff_potential(pr, m, x, cfg, t_min=t_min)
-                     for x in points.points])
+    t_min = cfg.resolve_t_min(m.cell_size)
+    vals = _wolff_rows(pr, m, points.points, t_min, cfg, "auto")
     return PotentialField(params=pr, points=points, values=vals, t_min=t_min)
 
 

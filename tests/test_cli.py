@@ -70,6 +70,9 @@ def test_solve_verify_sigma_zero_ratios_one(workdir):
     rec = json.loads(audit.read_text())
     assert rec["ratios"] == pytest.approx([1.0] * len(rec["ratios"]))
     assert all(c["pass"] for c in rec["checks"].values())
+    # no kappa profile is built for sigma = 0, so none has a direction
+    assert rec["kappa_direction"] is None
+    assert all(t["kappa_total"] == t["wolff_sigma"] == 0.0 for t in rec["terms"])
 
 
 def test_solve_sidecar_reports_convergence(workdir):

@@ -146,6 +146,22 @@ def test_apply_T_reads_u_at_the_atom_not_its_neighbour(pr213, mu3):
     assert t_both.values[1:] == pytest.approx(t_alone.values, rel=1e-14)
 
 
+def test_coincident_sigma_atoms_solve_as_one(pr213, mu3):
+    """Two sigma atoms at one point are one atom carrying both weights."""
+    dup = atomic([[1, 0, 0], [1, 0, 0], [0, 1, 0]], [.3, .2, .5],
+                 cell_size=.3)
+    merged = atomic([[1, 0, 0], [0, 1, 0]], [.3 + .2, .5], cell_size=.3)
+    for mu in (zero_measure(3), mu3):
+        a = solve_monotone(pr213, dup, mu, u0_mode="seeded")
+        b = solve_monotone(pr213, merged, mu, u0_mode="seeded")
+        assert a.status == b.status == "converged"
+        assert a.n_sigma_atoms == 2
+        assert np.array_equal(a.u.points.points, b.u.points.points)
+        assert np.array_equal(a.u.values, b.u.values)
+        assert np.array_equal(apply_T(pr213, dup, mu, a.u).values,
+                              apply_T(pr213, merged, mu, b.u).values)
+
+
 def test_classify_sub_super(pr213, sigma3, mu3):
     import dataclasses
     rep = solve_monotone(pr213, sigma3, mu3)

@@ -5,11 +5,12 @@ import pytest
 import sympy
 
 from wolffkit import (GrowthProfile, Params, PointSet, ball_capacity_check,
-                      bilateral_bound, check_lemma_34, default_phi_family,
+                      bilateral_bound, bound_field, check_lemma_34,
+                      default_bound_ladder, default_phi_family,
                       existence_check, intrinsic_potential, kappa_profile,
                       phi_nu, phi_sup, phi_sup_report, radial, scale,
                       solve_monotone, validate_params, verify_sandwich,
-                      zero_measure, atomic)
+                      wolff_potential, zero_measure, atomic)
 from conftest import random_atomic, random_params
 
 
@@ -119,9 +120,48 @@ def test_bilateral_bound_terms(pr213, rng):
     radii = np.geomspace(0.05, 6.0, 10)
     prof = kappa_profile(pr213, sigma, x, radii)
     R, terms = bilateral_bound(pr213, sigma, mu, x, prof)
-    assert set(terms) == {"wolff_term", "intrinsic_term", "mu_term"}
-    assert R == pytest.approx(sum(terms.values()))
+    assert set(terms) == {"wolff_term", "intrinsic_term", "mu_term",
+                          "wolff_sigma"}
+    assert R == terms["wolff_term"] + terms["intrinsic_term"] + terms["mu_term"]
+    assert terms["wolff_term"] == terms["wolff_sigma"] ** pr213.gamma
     assert all(v >= 0 for v in terms.values())
+
+
+def test_bilateral_bound_needs_no_profile_for_zero_sigma(pr213, rng):
+    mu = random_atomic(rng, n=3, k=3)
+    R, terms = bilateral_bound(pr213, zero_measure(3), mu, np.zeros(3), None)
+    assert terms["wolff_sigma"] == terms["intrinsic_term"] == 0.0
+    assert R == terms["mu_term"] == wolff_potential(pr213, mu, np.zeros(3))
+
+
+def test_bound_field_matches_per_point_composition(pr213, cfg):
+    """bound_field is bit-identical to the per-point ladder -> point-mass
+    profile -> bilateral_bound chain, on a radial sigma away from the
+    origin."""
+    sigma = radial([0.0, 0.5, 1.0], [1.0, 0.5], 3)
+    mu = zero_measure(3)
+    pts = PointSet(np.array([[0.3, 0.1, 0.0], [0.0, -0.8, 0.2],
+                             [1.5, 0.0, 0.0]]))
+    field, rows = bound_field(pr213, sigma, mu, pts, 8, cfg)
+    for x, R, row in zip(pts.points, field.values, rows):
+        prof = kappa_profile(pr213, sigma, x,
+                             default_bound_ladder(sigma, x, 8),
+                             method="pointmass", cfg=cfg)
+        R_ref, terms = bilateral_bound(pr213, sigma, mu, x, prof, cfg)
+        assert R == R_ref
+        assert row == {**terms, "kappa_total": float(prof.values[-1])}
+
+
+def test_bound_field_zero_sigma_builds_no_ladder(pr213, rng, cfg):
+    """sigma = 0 has no kappa ladder (default_bound_ladder rejects the
+    origin), so the bound is W mu, with the origin allowed."""
+    sigma, mu = zero_measure(3), random_atomic(rng, n=3, k=3)
+    pts = PointSet(np.array([[0.0, 0.0, 0.0], [0.7, 0.2, -0.1]]))
+    field, rows = bound_field(pr213, sigma, mu, pts, 10, cfg)
+    for x, R, row in zip(pts.points, field.values, rows):
+        R_ref, terms = bilateral_bound(pr213, sigma, mu, x, None, cfg)
+        assert R == R_ref
+        assert row == {**terms, "kappa_total": 0.0}
 
 
 def test_verify_sandwich_ratios(pr213, rng):
@@ -151,6 +191,18 @@ def test_verify_sandwich_point_set_mismatch(pr213, rng):
                            values=np.array([1.0]))
     with pytest.raises(ValueError, match="point set"):
         verify_sandwich(pr213, sigma, zero_measure(3), rep, other)
+
+
+def test_verify_sandwich_matches_points_exactly(pr213, rng):
+    """A bound field on points shifted by 1e-9 is not u's point set."""
+    sigma = random_atomic(rng, n=3, k=5)
+    rep = solve_monotone(pr213, sigma, zero_measure(3), u0_mode="seeded")
+    from wolffkit import PotentialField
+    shifted = PotentialField(params=pr213,
+                             points=PointSet(rep.u.points.points + 1e-9),
+                             values=rep.u.values)
+    with pytest.raises(ValueError, match="point set"):
+        verify_sandwich(pr213, sigma, zero_measure(3), rep, shifted)
 
 
 # -- existence classifier --------------------------------------------------

@@ -169,11 +169,18 @@ def test_operator_gradient_finite_difference(rng):
 
 
 def test_wolff_field_vectorizes(rng, pr213):
-    m = random_atomic(rng, n=3, k=5)
-    pts = PointSet(rng.normal(size=(4, 3)) * 2)
-    f = wolff_field(pr213, m, pts)
-    assert f.values == pytest.approx(
-        [wolff_potential(pr213, m, x) for x in pts.points])
+    """The batched field equals wolff_potential point by point, exactly:
+    atomic with a cell size, genuinely atomic (inf at its atoms), radial,
+    and the zero measure."""
+    for m in (random_atomic(rng, n=3, k=5), random_atomic(rng, n=3, k=5, cell=0),
+              radial([0.0, 0.5, 1.5], [1.0, 0.3], 3), zero_measure(3)):
+        pts = rng.normal(size=(4, 3)) * 2
+        if m.kind == "atomic":
+            pts = np.vstack([pts, m.points[:2]])
+        f = wolff_field(pr213, m, PointSet(pts))
+        assert f.values.tolist() == [wolff_potential(pr213, m, x) for x in pts]
+        if m.kind == "atomic" and m.cell_size is None and m.total_mass > 0:
+            assert np.all(np.isinf(f.values[-2:]))
 
 
 def test_tail_exists_classifier(pr213):
