@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import itertools
 import json
 import os
 import sys
@@ -62,10 +63,8 @@ def _quad_config(args) -> QuadratureConfig:
 
 
 def _header_lines(args, extra: dict | None = None) -> list[str]:
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func",) and v is not None}
-    if extra:
-        cfg.update(extra)
+    cfg = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    cfg.update(extra or {})
     cfg["version"] = __version__
     return [f"# config: {json.dumps(cfg, sort_keys=True, default=str)}"]
 
@@ -73,8 +72,7 @@ def _header_lines(args, extra: dict | None = None) -> list[str]:
 def _write_csv(path: str, header_lines: list[str], columns: list[str],
                rows) -> None:
     with open(path, "w", newline="") as f:
-        for line in header_lines:
-            f.write(line + "\n")
+        f.writelines(line + "\n" for line in header_lines)
         w = csv.writer(f)
         w.writerow(columns)
         w.writerows(rows)
@@ -214,6 +212,8 @@ def cmd_verify(args) -> int:
     bound, term_rows = bound_field(pr, sigma, mu, u.points, n_ladder, cfg)
     # verify_sandwich reads only .u of a solve report
     br = verify_sandwich(pr, sigma, mu, SimpleNamespace(u=u), bound)
+    # one direction for all rows: every profile uses the same method
+    (direction,) = {row.pop("kappa_direction") for row in term_rows}
     tu = apply_T(pr, sigma, mu, u, cfg)
     resid = float(np.max(np.abs(u.values - tu.values))
                   / max(float(np.max(u.values)), 1e-300))
@@ -228,8 +228,7 @@ def cmd_verify(args) -> int:
         "checks": checks,
         "ratios": br.ratios.tolist(),
         "terms": term_rows,
-        # the bounds' point-mass profiles are lower bounds; sigma = 0 uses none
-        "kappa_direction": "lower_bound" if sigma.total_mass > 0 else None,
+        "kappa_direction": direction,
         "version": __version__,
     }
     with open(args.out, "w") as f:
@@ -239,10 +238,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grids = {}
-    for tok in args.params_grid.split():
-        key, vals = tok.split("=")
-        grids[key] = vals
+    grids = dict(tok.split("=") for tok in args.params_grid.split())
     ps = [float(v) for v in grids.get("p", "2").split(",")]
     alphas = [float(v) for v in grids.get("alpha", "1").split(",")]
     ns = [int(v) for v in grids.get("n", "3").split(",")]
@@ -252,19 +248,14 @@ def cmd_sweep(args) -> int:
     for p in ps:
         qs = [auto_q(p)] if q_spec == "auto" else \
             [float(v) for v in q_spec.split(",")]
-        for q in qs:
-            for alpha in alphas:
-                for n in ns:
-                    try:
-                        pr = validate_params(p, q, alpha, n)
-                    except ParamError:
-                        continue
-                    jobs.append(pr)
+        for q, alpha, n in itertools.product(qs, alphas, ns):
+            try:
+                jobs.append(validate_params(p, q, alpha, n))
+            except ParamError:
+                continue
 
-    work = []
-    for pr in jobs:
-        for name, m in gen_corpus(args.seed, pr.n, args.count):
-            work.append((pr, m, name, args))
+    work = [(pr, m, name, args) for pr in jobs
+            for name, m in gen_corpus(args.seed, pr.n, args.count)]
 
     # worker pool with deterministic merge: results land in job-index order
     if args.workers > 1:

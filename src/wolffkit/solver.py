@@ -43,13 +43,11 @@ class SolveGeometry:
                  points: PointSet | None, cfg: QuadratureConfig):
         self.pr = pr
         sa = as_atomic(sigma)
-        # merge coincident atoms in first-occurrence order; else keep sigma's arrays
-        apts, self.sigma_weights = sa.points, sa.weights
-        first = _match_rows(apts, apts)
+        # merge coincident atoms, summing weights, in first-occurrence order
+        first = _match_rows(sa.points, sa.points)
         keep = first == np.arange(len(first))
-        if not keep.all():
-            apts = apts[keep]
-            self.sigma_weights = np.bincount(first, sa.weights, len(first))[keep]
+        apts = sa.points[keep]
+        self.sigma_weights = np.bincount(first, sa.weights, len(first))[keep]
         self.n_atoms = len(apts)
         extra = np.empty((0, apts.shape[1]))
         if points is not None:

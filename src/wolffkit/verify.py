@@ -216,7 +216,8 @@ def bound_field(pr: Params, sigma: Measure, mu: Measure, points: PointSet,
                 ) -> tuple[PotentialField, list[dict]]:
     """R over a point set: at each point a point-mass kappa profile on
     default_bound_ladder (none when sigma has no mass) feeds bilateral_bound.
-    Each row holds that point's terms plus the profile's kappa_total."""
+    Each row holds that point's terms plus the profile's kappa_total and
+    kappa_direction (None without a profile)."""
     cfg = cfg or QuadratureConfig()
     vals, rows = [], []
     for x in points.points:
@@ -227,7 +228,8 @@ def bound_field(pr: Params, sigma: Measure, mu: Measure, points: PointSet,
                                  method="pointmass", cfg=cfg)
         R, terms = bilateral_bound(pr, sigma, mu, x, prof, cfg)
         vals.append(R)
-        rows.append({**terms, "kappa_total": float(prof.values[-1]) if prof else 0.0})
+        rows.append({**terms, "kappa_total": float(prof.values[-1]) if prof else 0.0,
+                     "kappa_direction": prof.direction if prof else None})
     return PotentialField(params=pr, points=points, values=vals), rows
 
 

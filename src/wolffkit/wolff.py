@@ -24,6 +24,7 @@ from .params import Params
 from .quadrature import QuadratureConfig, integrate_dt_over_t
 
 _BIG_GRAD = 1e100
+_BLOCK_ENTRIES = 1 << 16  # rows x atoms per operator in _wolff_rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,8 +146,8 @@ def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = No
 def _wolff_rows(pr: Params, m: Measure, pts: np.ndarray, t_min: float,
                 cfg: QuadratureConfig, method: str) -> np.ndarray:
     """Wolff potential of m at each row of pts: zeros for zero mass, inf
-    for s <= 0, one closed-form operator over all rows for an atomic m, the
-    layer-cake quadrature row by row otherwise."""
+    for s <= 0, closed-form operators over blocks of rows for an atomic m,
+    the layer-cake quadrature row by row otherwise."""
     if m.total_mass == 0.0:
         return np.zeros(len(pts))
     if pr.s <= 0.0:
@@ -156,7 +157,13 @@ def _wolff_rows(pr: Params, m: Measure, pts: np.ndarray, t_min: float,
     if method == "exact":
         if m.kind != "atomic":
             raise ValueError("exact evaluation requires an atomic measure")
-        return AtomicWolffOperator(pr, m.points, pts, t_min).apply(m.weights)
+        # blocks of rows bound each operator's rows x atoms arrays
+        step = max(1, _BLOCK_ENTRIES // len(m.points))
+        out = np.empty(len(pts))
+        for i in range(0, len(pts), step):
+            op = AtomicWolffOperator(pr, m.points, pts[i:i + step], t_min)
+            out[i:i + step] = op.apply(m.weights)
+        return out
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     return np.array([_layer_cake(m, x, pr.s, pr.p - 1.0, t_min, cfg)
@@ -224,7 +231,7 @@ class AtomicWolffOperator:
 def wolff_field(pr: Params, m: Measure, points: PointSet,
                 cfg: QuadratureConfig | None = None) -> PotentialField:
     """Wolff potential evaluated over a point set, with the special cases
-    of wolff_potential; an atomic m builds one operator for all points."""
+    of wolff_potential; an atomic m builds one operator per block of points."""
     cfg = cfg or QuadratureConfig()
     t_min = cfg.resolve_t_min(m.cell_size)
     vals = _wolff_rows(pr, m, points.points, t_min, cfg, "auto")

@@ -149,7 +149,8 @@ def test_bound_field_matches_per_point_composition(pr213, cfg):
                              method="pointmass", cfg=cfg)
         R_ref, terms = bilateral_bound(pr213, sigma, mu, x, prof, cfg)
         assert R == R_ref
-        assert row == {**terms, "kappa_total": float(prof.values[-1])}
+        assert row == {**terms, "kappa_total": float(prof.values[-1]),
+                       "kappa_direction": prof.direction}
 
 
 def test_bound_field_zero_sigma_builds_no_ladder(pr213, rng, cfg):
@@ -161,7 +162,7 @@ def test_bound_field_zero_sigma_builds_no_ladder(pr213, rng, cfg):
     for x, R, row in zip(pts.points, field.values, rows):
         R_ref, terms = bilateral_bound(pr213, sigma, mu, x, None, cfg)
         assert R == R_ref
-        assert row == {**terms, "kappa_total": 0.0}
+        assert row == {**terms, "kappa_total": 0.0, "kappa_direction": None}
 
 
 def test_verify_sandwich_ratios(pr213, rng):

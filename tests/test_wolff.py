@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wolffkit import wolff
 from wolffkit import (AtomicWolffOperator, GrowthProfile, PointSet,
                       QuadratureConfig, atomic, ball_volume, combine, radial,
                       riesz_potential, scale, tail_exists, validate_params,
@@ -168,10 +169,12 @@ def test_operator_gradient_finite_difference(rng):
         assert grad[:, k] == pytest.approx(fd, rel=1e-3, abs=1e-8)
 
 
-def test_wolff_field_vectorizes(rng, pr213):
+def test_wolff_field_vectorizes(rng, pr213, monkeypatch):
     """The batched field equals wolff_potential point by point, exactly:
     atomic with a cell size, genuinely atomic (inf at its atoms), radial,
-    and the zero measure."""
+    and the zero measure.  Atomic fields run in row blocks of 4 here (5
+    atoms), so the 6 points fill one block and part of a second."""
+    monkeypatch.setattr(wolff, "_BLOCK_ENTRIES", 20)
     for m in (random_atomic(rng, n=3, k=5), random_atomic(rng, n=3, k=5, cell=0),
               radial([0.0, 0.5, 1.5], [1.0, 0.3], 3), zero_measure(3)):
         pts = rng.normal(size=(4, 3)) * 2
