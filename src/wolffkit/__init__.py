@@ -13,9 +13,8 @@ from .geometry import ball_volume, cap_volume, intersection_volume
 from .intrinsic import (ExtrapolationWarning, intrinsic_potential,
                         intrinsic_tail_finite)
 from .measure import (Measure, PointSet, as_atomic, atomic, ball_mass,
-                      ball_mass_profile, combine, load_measure, load_points,
-                      radial, restrict, save_measure, save_points, scale,
-                      to_dict, zero_measure)
+                      combine, load_measure, load_points, radial, restrict,
+                      save_measure, save_points, scale, to_dict, zero_measure)
 from .params import (ParamError, Params, auto_q, validate_params,
                      wolff_point_mass_value)
 from .quadrature import QuadratureConfig, QuadratureWarning
@@ -33,10 +32,9 @@ __all__ = [
     "ParamError", "Params", "auto_q", "validate_params",
     "wolff_point_mass_value",
     "ball_volume", "cap_volume", "intersection_volume",
-    "Measure", "PointSet", "as_atomic", "atomic", "ball_mass",
-    "ball_mass_profile", "combine", "load_measure", "load_points", "radial",
-    "restrict", "save_measure", "save_points", "scale", "to_dict",
-    "zero_measure",
+    "Measure", "PointSet", "as_atomic", "atomic", "ball_mass", "combine",
+    "load_measure", "load_points", "radial", "restrict", "save_measure",
+    "save_points", "scale", "to_dict", "zero_measure",
     "QuadratureConfig", "QuadratureWarning",
     "AtomicWolffOperator", "GrowthProfile", "PotentialField",
     "riesz_potential", "tail_exists", "wolff_field", "wolff_potential",

@@ -61,12 +61,12 @@ def make_measure(family: str, n: int, rng: np.random.Generator,
 
 
 def gen_corpus(seed: int, n: int, count: int,
-               families=FAMILIES, atoms: int = 48) -> list[tuple[str, Measure]]:
-    """Deterministic list of (name, measure) pairs."""
+               atoms: int = 48) -> list[tuple[str, Measure]]:
+    """Deterministic list of (name, measure) pairs, cycling through FAMILIES."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
-        fam = families[i % len(families)]
+        fam = FAMILIES[i % len(FAMILIES)]
         out.append((f"{fam}_{i:03d}", make_measure(fam, n, rng, atoms=atoms)))
     return out
 

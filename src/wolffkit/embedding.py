@@ -48,17 +48,15 @@ class KappaProfile:
         return "lower_bound" if dirs == {"lower_bound"} else "best_estimate"
 
 
-def default_candidate_grid(sigma: Measure, center, radius: float,
-                           n_shells: int = 8, seed: int = 0) -> PointSet:
+def default_candidate_grid(sigma: Measure, center, radius: float) -> PointSet:
     """Union of sigma's atoms (quadrature nodes for radial sigma) and a
-    log-radial shell grid around the ball center: extremal nu concentrates
+    log-radial grid of 8 shells from radius/256 to radius around the ball
+    center, one seeded random direction each: extremal nu concentrates
     where sigma is heavy and near kernel foci."""
     center = np.asarray(center, dtype=float)
     atoms = as_atomic(sigma).points
-    rng = np.random.default_rng(seed)
-    n = atoms.shape[1]
-    radii = np.geomspace(radius / 2 ** n_shells, radius, n_shells)
-    g = rng.standard_normal((n_shells, n))
+    radii = np.geomspace(radius / 256, radius, 8)
+    g = np.random.default_rng(0).standard_normal((8, atoms.shape[1]))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     shells = center + radii[:, None] * g
     pts = np.vstack([atoms, shells, center[None, :]])
@@ -101,15 +99,15 @@ def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float) -> np.ndarr
 
 def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
                          iters: int = 50, restarts: int = 3,
-                         cfg: QuadratureConfig | None = None,
-                         f_tol: float = 1e-8) -> KappaEstimate:
+                         cfg: QuadratureConfig | None = None) -> KappaEstimate:
     """Conditional-gradient (Frank-Wolfe) ascent of
     F(nu) = (int_B (W nu)^q dsigma)^{1/q} over the probability simplex on the
     grid.  Linear oracle: best vertex of the directional derivative; step by
     backtracking line search on F itself.  For p >= 2 the objective is
     concave, so the best value is the global discrete maximum up to
     line-search tolerance; for p < 2 multi-restart keeps it an honest lower
-    bound of the discrete problem.
+    bound of the discrete problem.  A restart stops when the Frank-Wolfe gap
+    falls to 1e-8 of F.
     """
     cfg = cfg or QuadratureConfig()
     if iters < 1 or restarts < 1:
@@ -163,7 +161,7 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
             direction = -nu.copy()
             direction[k_star] += 1.0
             gap = float(grad @ direction)
-            if gap <= f_tol * max(fv, 1e-300):
+            if gap <= 1e-8 * max(fv, 1e-300):
                 break
             step = 1.0
             improved = False

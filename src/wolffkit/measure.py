@@ -103,7 +103,7 @@ class Measure:
     def total_mass(self) -> float:
         if self.kind == "atomic":
             return float(self.weights.sum())
-        vols = np.array([ball_volume(e, self.dim) for e in self.bin_edges])
+        vols = ball_volume(self.bin_edges, self.dim)
         return float(np.sum(self.densities * np.diff(vols)))
 
     @property
@@ -136,35 +136,28 @@ def radial(bin_edges, densities, n: int) -> Measure:
 
 # -- operations -----------------------------------------------------------
 
-def ball_mass(m: Measure, x, t: float) -> float:
-    """Exact mass of the closed ball B(x, t)."""
-    if t < 0:
-        raise ValueError(f"ball radius must be nonnegative, got {t}")
-    x = np.asarray(x, dtype=float)
-    if m.kind == "atomic":
-        d = np.linalg.norm(m.points - x, axis=1)
-        return float(m.weights[d <= t].sum())
-    d = float(np.linalg.norm(x))
-    total = 0.0
-    for j, rho in enumerate(m.densities):
-        if rho == 0.0:
-            continue
-        lo, hi = m.bin_edges[j], m.bin_edges[j + 1]
-        v = intersection_volume(d, t, hi, m.dim) - intersection_volume(d, t, lo, m.dim)
-        total += rho * v
-    return total
-
-
-def ball_mass_profile(m: Measure, x, ts: np.ndarray) -> np.ndarray:
-    """Vector of ball masses over radii ts (each exact)."""
+def ball_mass(m: Measure, x, t):
+    """Exact mass of the closed ball B(x, t), elementwise over an array of
+    radii t (a float for a scalar t)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError(f"ball radius must be nonnegative, got {t.min()}")
     x = np.asarray(x, dtype=float)
     if m.kind == "atomic":
         d = np.linalg.norm(m.points - x, axis=1)
         order = np.argsort(d)
         cum = np.concatenate([[0.0], np.cumsum(m.weights[order])])
-        idx = np.searchsorted(d[order], np.asarray(ts, dtype=float), side="right")
-        return cum[idx]
-    return np.array([ball_mass(m, x, t) for t in np.asarray(ts, dtype=float)])
+        total = cum[np.searchsorted(d[order], t, side="right")]
+    else:
+        d = float(np.linalg.norm(x))
+        total = np.zeros(t.shape)
+        for j, rho in enumerate(m.densities):
+            if rho == 0.0:
+                continue
+            lo, hi = m.bin_edges[j], m.bin_edges[j + 1]
+            total += rho * (intersection_volume(d, t, hi, m.dim)
+                            - intersection_volume(d, t, lo, m.dim))
+    return float(total) if total.ndim == 0 else total
 
 
 def _match_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:

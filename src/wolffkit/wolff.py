@@ -47,11 +47,11 @@ class PotentialField:
 
 @dataclasses.dataclass(frozen=True)
 class GrowthProfile:
-    """Symbolic ball-mass growth m(B(0,t)) ~ C t^d (log t)^e for large t."""
+    """Symbolic ball-mass growth m(B(0,t)) ~ C t^d (log t)^e for large t; the
+    constant C > 0 decides no convergence question and is not stored."""
 
     d: float
     e: float = 0.0
-    C: float = 1.0
 
 
 def _breakpoints(m: Measure, x: np.ndarray) -> np.ndarray:
@@ -101,11 +101,11 @@ def _layer_cake(m: Measure, x: np.ndarray, s: float, pm1: float, t_min: float,
     tail = pm1 / s * M ** delta * tail_start ** (-s * delta)
 
     start = max(t_min, d0)
+    bps = _breakpoints(m, x)
     head = 0.0
     if start == 0.0:
         # density-like at x: m(B(x,t)) = c t^n exactly below the first
         # breakpoint, giving a closed-form power head
-        bps = _breakpoints(m, x)
         pos = bps[bps > 0]
         h0 = float(pos[0]) if len(pos) else T
         h0 = min(h0, T)
@@ -115,13 +115,13 @@ def _layer_cake(m: Measure, x: np.ndarray, s: float, pm1: float, t_min: float,
         start = h0
     if start < T:
         def g(ts):
-            masses = np.array([ball_mass(m, x, t) for t in ts])
+            masses = ball_mass(m, x, ts)
             out = np.zeros_like(ts)
             live = masses > 0
             out[live] = (masses[live] / ts[live] ** s) ** delta
             return out
 
-        quad = integrate_dt_over_t(g, start, T, _breakpoints(m, x), cfg)
+        quad = integrate_dt_over_t(g, start, T, bps, cfg)
     else:
         quad = 0.0
         tail = pm1 / s * M ** delta * max(start, tail_start) ** (-s * delta)

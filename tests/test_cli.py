@@ -140,6 +140,21 @@ def test_numerical_diagnostic_exit_code(workdir):
     assert rc == 3
 
 
+@pytest.mark.parametrize("name", ["annulus_001", "radial_bump_000"])
+def test_potential_meets_tolerance_at_shell_tangencies(tmp_path, name):
+    """p = 2.5 on the README corpus: the fractional power of the cap volume
+    at each shell tangency radius is resolved by the graded panels, so no
+    point misses rel_tol and the command exits 0 (not 3)."""
+    assert main(["gen-corpus", "--seed", "7", "--n", "3", "--count", "4",
+                 "--out", str(tmp_path)]) == 0
+    pts = np.random.default_rng(3).standard_normal((40, 3))
+    save_points(PointSet(pts), tmp_path / "pts.json")
+    assert main(["potential", "--params", "2.5,0.75,1,3",
+                 "--measure", str(tmp_path / f"{name}.json"),
+                 "--points", str(tmp_path / "pts.json"),
+                 "--out", str(tmp_path / "pot.csv")]) == 0
+
+
 def test_env_var_overrides_tolerance(workdir, monkeypatch):
     monkeypatch.setenv("WOLFFKIT_REL_TOL", "1e-30")
     monkeypatch.setenv("WOLFFKIT_PANELS_PER_DECADE", "4")

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wolffkit import (Measure, PointSet, as_atomic, atomic, ball_mass,
-                      ball_mass_profile, ball_volume, combine,
-                      intersection_volume, load_measure, radial, restrict,
-                      save_measure, scale, zero_measure)
+                      ball_volume, cap_volume, combine, intersection_volume,
+                      load_measure, radial, restrict, save_measure, scale,
+                      zero_measure)
 from wolffkit.measure import _match_rows, from_dict, to_dict
 
 
@@ -59,13 +59,64 @@ def test_radial_ball_mass_off_center_additivity():
             ball_mass(outer, x, t) - ball_mass(inner, x, t), abs=1e-12)
 
 
-def test_ball_mass_profile_matches_pointwise():
+def test_intersection_volume_elementwise_closed_forms():
+    """One array mixing every branch, against each case's closed form."""
+    n = 3
+    v = ball_volume(1.0, n)
+    # lens of two unit balls at distance 1: two caps of height 1/2
+    lens = 2 * np.pi * 0.5 ** 2 * (3 - 0.5) / 3
+    d = np.array([3.0, 0.1, 1.0, 0.0, 0.5, 1.0])
+    r1 = np.array([1.0, 2.0, 1.0, 1.0, 0.0, -1.0])
+    r2 = np.array([1.0, 0.5, 1.0, 2.0, 1.0, 1.0])
+    #     disjoint, containment, lens, d = 0, r1 = 0, r1 < 0
+    want = [0.0, ball_volume(0.5, n), lens, v, 0.0, 0.0]
+    got = intersection_volume(d, r1, r2, n)
+    assert got.shape == (6,)
+    assert got == pytest.approx(want, rel=1e-14)
+    assert [intersection_volume(*args, n) for args in zip(d, r1, r2)] == \
+        pytest.approx(got, rel=1e-15)
+    # caps: r <= 0, a <= -r (whole ball), a >= r (empty), equator, majority side
+    r = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+    a = np.array([0.5, -1.5, 1.0, 0.0, -0.5])
+    major = v - np.pi * 0.5 ** 2 * (3 - 0.5) / 3
+    assert cap_volume(r, a, n) == pytest.approx([0.0, v, 0.0, v / 2, major],
+                                                rel=1e-14)
+    assert isinstance(cap_volume(1.0, 0.0, n), float)
+    assert isinstance(intersection_volume(1.0, 1.0, 1.0, n), float)
+    assert ball_volume(np.array([-1.0, 0.0, 2.0]), 2) == pytest.approx(
+        [0.0, 0.0, 4 * np.pi])
+
+
+def test_ball_mass_array_matches_scalar_calls():
+    """ball_mass over an array of radii equals the scalar calls: exactly for
+    an atomic sigma (atom distances among the radii), up to the last-place
+    differences of numpy's array power for an off-centre radial sigma
+    (radii at 0, the tangencies |r - e| and r + e, and past the support)."""
     rng = np.random.default_rng(0)
     m = atomic(rng.normal(size=(12, 3)), rng.uniform(0.1, 1, 12))
     x = np.array([0.2, -0.1, 0.5])
-    ts = np.linspace(0.0, 4.0, 23)
-    prof = ball_mass_profile(m, x, ts)
-    assert prof == pytest.approx([ball_mass(m, x, t) for t in ts])
+    d = np.linalg.norm(m.points - x, axis=1)
+    ts = np.concatenate([np.linspace(0.0, 4.0, 23), d, [10.0]])
+    got = ball_mass(m, x, ts)
+    assert list(got) == [ball_mass(m, x, t) for t in ts]
+    assert got[-1] == pytest.approx(m.total_mass)
+    assert list(ball_mass(m, x, d)) == pytest.approx(
+        [m.weights[d <= t].sum() for t in d], rel=1e-15)
+
+    rad = radial([0.0, 0.3, 0.7, 1.2], [1.5, 0.0, 0.8], 3)
+    x = np.array([0.4, 0.3, 0.0])  # |x| = 0.5
+    r, e = 0.5, rad.bin_edges
+    ts = np.concatenate([[0.0], np.abs(r - e), r + e, [2.0, 5.0],
+                         np.linspace(0.01, 2.0, 17)])
+    got = ball_mass(rad, x, ts)
+    assert got.shape == ts.shape
+    assert got == pytest.approx([ball_mass(rad, x, t) for t in ts],
+                                rel=1e-14, abs=1e-15)
+    assert got[0] == 0.0
+    assert got[-3] == pytest.approx(rad.total_mass, rel=1e-14)
+    assert isinstance(ball_mass(rad, x, 0.6), float)
+    with pytest.raises(ValueError):
+        ball_mass(rad, x, np.array([0.5, -0.1]))
 
 
 def test_scale_and_combine():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from wolffkit import wolff
 from wolffkit import (AtomicWolffOperator, GrowthProfile, PointSet,
-                      QuadratureConfig, atomic, ball_volume, combine, radial,
-                      riesz_potential, scale, tail_exists, validate_params,
-                      wolff_field, wolff_point_mass_value, wolff_potential,
-                      zero_measure)
+                      QuadratureConfig, QuadratureWarning, atomic,
+                      ball_volume, combine, radial, riesz_potential, scale,
+                      tail_exists, validate_params, wolff_field,
+                      wolff_point_mass_value, wolff_potential, zero_measure)
 from conftest import random_atomic, random_params
 
 
@@ -52,7 +53,8 @@ def test_wolff_radial_center_analytic():
 
 
 def test_wolff_tail_exact_far_away():
-    """Far from the support the whole integral is the closed-form tail."""
+    """Far from the support the whole integral is the closed-form tail, and
+    the quadrature part meets rel_tol at the n = 5 shell tangencies."""
     pr = validate_params(3.0, 1.0, 1.0, 5)  # s = 2, delta = 1/2
     m = radial([0.0, 1.0], [2.0], 5)
     x = np.zeros(5)
@@ -62,7 +64,9 @@ def test_wolff_tail_exact_far_away():
     # W <= tail at |x|+R and >= tail at |x|-R; both converge as |x| grows
     lo = (pr.p - 1) / pr.s * M ** pr.delta * T ** (-pr.s * pr.delta)
     hi = (pr.p - 1) / pr.s * M ** pr.delta * (49.0) ** (-pr.s * pr.delta)
-    got = wolff_potential(pr, m, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        got = wolff_potential(pr, m, x)
     assert lo <= got <= hi
     assert got == pytest.approx(lo, rel=0.1)
 
