@@ -11,6 +11,7 @@ discrete maximum in the concave regime p >= 2).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -48,53 +49,67 @@ class KappaProfile:
         return "lower_bound" if dirs == {"lower_bound"} else "best_estimate"
 
 
-def default_candidate_grid(sigma: Measure, center, radius: float) -> PointSet:
-    """Union of sigma's atoms (quadrature nodes for radial sigma) and a
-    log-radial grid of 8 shells from radius/256 to radius around the ball
-    center, one seeded random direction each: extremal nu concentrates
-    where sigma is heavy and near kernel foci."""
-    center = np.asarray(center, dtype=float)
-    atoms = as_atomic(sigma).points
-    radii = np.geomspace(radius / 256, radius, 8)
-    g = np.random.default_rng(0).standard_normal((8, atoms.shape[1]))
+def _candidates(atoms: np.ndarray, center: np.ndarray, radii):
+    """The union of default_candidate_grid's grids for the balls
+    B(center, t), t in radii, and each grid's columns in it."""
+    g = np.random.default_rng(0).standard_normal((8, len(center)))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    shells = center + radii[:, None] * g
-    pts = np.vstack([atoms, shells, center[None, :]])
-    return PointSet(points=np.unique(pts, axis=0), tag="kappa-candidates")
+    shells = [center + np.geomspace(t / 256, t, 8)[:, None] * g for t in radii]
+    cands, inv = np.unique(np.vstack([atoms, center[None, :]] + shells), axis=0,
+                           return_inverse=True)
+    inv, nb = inv.reshape(-1), len(atoms) + 1
+    return cands, [np.union1d(inv[:nb], r) for r in np.split(inv[nb:], len(shells))]
 
 
-def _restricted_atoms(sigma: Measure, x, t: float):
-    """sigma|_B(x,t) as atom locations/weights, plus the truncation scale."""
-    sb = as_atomic(restrict(sigma, x, t))
-    return sb.points, sb.weights, sb.cell_size
+def default_candidate_grid(sigma: Measure, center, radius: float) -> PointSet:
+    """Union of sigma's atoms (quadrature nodes for radial sigma), the ball
+    center and a log-radial grid of 8 shells from radius/256 to radius
+    around it, one seeded random direction each: extremal nu concentrates
+    where sigma is heavy and near kernel foci."""
+    cands, _ = _candidates(as_atomic(sigma).points, np.asarray(center, dtype=float),
+                           [radius])
+    return PointSet(points=cands, tag="kappa-candidates")
+
+
+def _point_mass_ladder(pr: Params, sa: Measure, x, radii, candidates: np.ndarray,
+                       columns, cfg: QuadratureConfig) -> list[KappaEstimate]:
+    """Point-mass lower bounds for kappa(B(x, t)), t in increasing radii, from
+    one scan: sorted by distance from x, sa's atoms of positive weight in
+    B(x, t) are a prefix, and rung j maximises over candidates[columns[j]]."""
+    live = np.nonzero(sa.weights > 0)[0]
+    d = np.linalg.norm(sa.points[live] - x, axis=1)
+    order = np.argsort(d, kind="stable")
+    ks = np.searchsorted(d[order], radii, side="right")
+    ball = live[order[: ks[-1]]]
+    sums = _point_mass_scan(pr, sa.points[ball], sa.weights[ball], candidates,
+                            cfg.resolve_t_min(sa.cell_size))
+    return [KappaEstimate(float(sums[k, c].max()) ** (1.0 / pr.q), "lower_bound",
+                          "point_mass", len(c) if k else 0, pr.p >= 2.0)
+            for k, c in zip(ks, columns)]
 
 
 def kappa_point_mass(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
                      cfg: QuadratureConfig | None = None) -> KappaEstimate:
     """Lower bound for kappa(B(x,t)) from the best single point mass on the
     grid, using the closed-form point-mass Wolff potential."""
-    cfg = cfg or QuadratureConfig()
     if t <= 0:
         raise ValueError("ball radius must be positive")
-    zpts, zw, cell = _restricted_atoms(sigma, x, t)
-    if zw.sum() == 0.0:
-        return KappaEstimate(0.0, "lower_bound", "point_mass", 0, pr.p >= 2.0)
-    t_min = cfg.resolve_t_min(cell)
-    vals = _point_mass_scan(pr, zpts, zw, grid.points, t_min)
-    return KappaEstimate(float(vals.max()), "lower_bound", "point_mass",
-                         len(grid), pr.p >= 2.0)
+    return _point_mass_ladder(pr, as_atomic(sigma), x, [t], grid.points,
+                              [np.arange(len(grid))], cfg or QuadratureConfig())[0]
 
 
 def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float) -> np.ndarray:
-    """F(delta_y) for every candidate y, via the closed-form point-mass
+    """Running sums of zw (W delta_y)^q over the atoms zpts for each candidate
+    y (row k sums the first k atoms; F(delta_y) is its 1/q power), via the
     kernel W delta_y(z) = ((p-1)/s) max(|z-y|, t_min)^{-s/(p-1)}."""
-    s, delta, q = pr.s, pr.delta, pr.q
-    D = np.linalg.norm(zpts[:, None, :] - candidates[None, :, :], axis=2)
-    a = np.maximum(D, t_min)
+    # |z - y| one coordinate at a time: no atoms x candidates x n temporary
+    a = np.maximum(np.sqrt(sum((zpts[:, k, None] - candidates[None, :, k]) ** 2
+                               for k in range(candidates.shape[1]))), t_min)
     with np.errstate(divide="ignore"):
-        w = (pr.p - 1.0) / s * a ** (-s * delta)
-    inner = (zw[:, None] * w ** q).sum(axis=0)
-    return inner ** (1.0 / q)
+        w = zw[:, None] * ((pr.p - 1.0) / pr.s * a ** (-pr.s * pr.delta)) ** pr.q
+    sums = np.zeros((len(zw) + 1, len(candidates)))
+    np.cumsum(w, axis=0, out=sums[1:])
+    return sums
 
 
 def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
@@ -113,36 +128,31 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
     if iters < 1 or restarts < 1:
         raise ValueError("iters and restarts must be >= 1")
     q = pr.q
-    zpts, zw, cell = _restricted_atoms(sigma, x, t)
+    sb = restrict(as_atomic(sigma), x, t)
+    live = sb.weights > 0  # in sigma's order, so the sums below keep theirs
+    zpts, zw = sb.points[live], sb.weights[live]
     K = len(grid)
-    if zw.sum() == 0.0:
+    if len(zw) == 0:
         return KappaEstimate(0.0, "best_estimate", "simplex_ascent", 0, pr.p >= 2.0)
-    t_min = cfg.resolve_t_min(cell)
+    t_min = cfg.resolve_t_min(sb.cell_size)
     op = AtomicWolffOperator(pr, grid.points, zpts, t_min=t_min)
 
     def F(nu: np.ndarray) -> float:
-        w = op.apply(nu)
-        return float(np.sum(zw * w ** q)) ** (1.0 / q)
+        return float(np.sum(zw * op.apply(nu) ** q)) ** (1.0 / q)
 
     def F_grad(nu: np.ndarray):
         w, gw = op.apply_with_grad(nu)
         inner = float(np.sum(zw * w ** q))
-        f = inner ** (1.0 / q)
         # d/d nu_k of inner^{1/q}; W > 0 everywhere once nu != 0
         with np.errstate(divide="ignore"):
             coeff = np.where(w > 0, zw * w ** (q - 1.0), 0.0)
         grad = inner ** (1.0 / q - 1.0) * (coeff[:, None] * gw).sum(axis=0)
-        return f, grad
+        return inner ** (1.0 / q), grad
 
     # vertex values double as restart ranking and as the point-mass floor
-    vertex_vals = _point_mass_scan(pr, zpts, zw, grid.points, t_min)
+    vertex_vals = _point_mass_scan(pr, zpts, zw, grid.points, t_min)[-1] ** (1.0 / q)
     order = np.argsort(vertex_vals)[::-1]
-
-    starts = []
-    for k in order[:restarts]:
-        v = np.zeros(K)
-        v[k] = 1.0
-        starts.append(v)
+    starts = [np.where(np.arange(K) == k, 1.0, 0.0) for k in order[:restarts]]
     starts.append(np.full(K, 1.0 / K))
 
     best_val = float(vertex_vals.max())
@@ -158,22 +168,20 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
             if not np.isfinite(fv):
                 break
             k_star = int(np.argmax(grad))
-            direction = -nu.copy()
+            direction = -nu
             direction[k_star] += 1.0
             gap = float(grad @ direction)
             if gap <= 1e-8 * max(fv, 1e-300):
                 break
             step = 1.0
-            improved = False
             while step > 1e-10:
                 cand = nu + step * direction
                 fc = F(cand)
                 if fc > fv * (1.0 + 1e-15):
                     nu, fv = cand, fc
-                    improved = True
                     break
                 step *= 0.5
-            if not improved:
+            else:  # no step improved F
                 break
         best_val = max(best_val, fv)
     return KappaEstimate(best_val, "best_estimate", "simplex_ascent",
@@ -190,24 +198,21 @@ def kappa_profile(pr: Params, sigma: Measure, x, radii, method: str = "pointmass
     radii = np.asarray(radii, dtype=float)
     if len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be positive and strictly increasing")
+    if method not in ("pointmass", "ascent"):
+        raise ValueError(f"unknown method {method!r}")
     sat = float(np.linalg.norm(x)) + sigma.support_radius
-    estimates: list[KappaEstimate] = []
-    prev: KappaEstimate | None = None
-    running = 0.0
-    for t in radii:
-        if prev is not None and radii[len(estimates) - 1] >= sat:
-            estimates.append(prev)  # ball already covers supp sigma
-            continue
-        g = default_candidate_grid(sigma, x, t)
-        if method == "pointmass":
-            est = kappa_point_mass(pr, sigma, x, t, g, cfg)
-        elif method == "ascent":
-            est = kappa_simplex_ascent(pr, sigma, x, t, g, cfg=cfg, **ascent_kwargs)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        running = max(running, est.value)
-        est = dataclasses.replace(est, value=running)
-        estimates.append(est)
-        prev = est
+    # rungs past the first one at or beyond saturation repeat it
+    live = radii[: int(np.searchsorted(radii, sat)) + 1]
+    sa = as_atomic(sigma)
+    cands, cols = _candidates(sa.points, x, live)
+    if method == "pointmass":
+        raw = _point_mass_ladder(pr, sa, x, live, cands, cols, cfg)
+    else:
+        grids = [PointSet(cands[c], "kappa-candidates") for c in cols]
+        raw = [kappa_simplex_ascent(pr, sa, x, t, g, cfg=cfg, **ascent_kwargs)
+               for t, g in zip(live, grids)]
+    running = list(itertools.accumulate([e.value for e in raw], max, initial=0.0))
+    estimates = [dataclasses.replace(e, value=v) for e, v in zip(raw, running[1:])]
+    estimates += estimates[-1:] * (len(radii) - len(live))
     return KappaProfile(center=x, radii=radii, estimates=estimates,
                         saturation_radius=sat)

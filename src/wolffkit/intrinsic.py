@@ -17,7 +17,7 @@ import numpy as np
 from .embedding import KappaProfile
 from .params import Params
 from .quadrature import QuadratureConfig
-from .wolff import GrowthProfile
+from .wolff import GrowthProfile, tail_exists
 
 
 class ExtrapolationWarning(UserWarning):
@@ -124,14 +124,9 @@ def intrinsic_potential(pr: Params, profile: KappaProfile,
 def intrinsic_tail_finite(pr: Params, kappa_growth: GrowthProfile) -> str:
     """Classify the large-t tail of the intrinsic integral for a symbolic
     power-log profile kappa(B(0,t)) ~ C t^a (log t)^e (exponent a stored in
-    the profile's d field): finite iff a*kexp < s, with the same log
-    refinement as the plain Wolff tail at equality."""
+    the profile's d field): the Wolff tail rule of tail_exists for the
+    growth kappa^kexp ~ t^(a kexp) (log t)^(e kexp)."""
     if not isinstance(kappa_growth, GrowthProfile):
         raise ValueError(f"unsupported profile {kappa_growth!r}")
-    s = pr.s
-    expo = (kappa_growth.d * pr.kexp - s) / (pr.p - 1.0)
-    if expo < 0.0:
-        return "finite"
-    if expo == 0.0 and kappa_growth.e * pr.kexp / (pr.p - 1.0) < -1.0:
-        return "finite"
-    return "infinite"
+    return tail_exists(pr, GrowthProfile(kappa_growth.d * pr.kexp,
+                                         kappa_growth.e * pr.kexp))

@@ -6,7 +6,7 @@ import pytest
 from wolffkit import (AtomicWolffOperator, PointSet, QuadratureConfig,
                       as_atomic, atomic, default_candidate_grid,
                       kappa_point_mass, kappa_profile, kappa_simplex_ascent,
-                      radial, scale, validate_params, zero_measure)
+                      radial, restrict, scale, validate_params, zero_measure)
 from conftest import random_atomic, random_params
 
 UNIT_BALL_KAPPA = (8.0 * math.pi / 5.0) ** 2
@@ -44,9 +44,9 @@ def _exp_gradient_kappa(pr, sigma, x, t, grid, iters=1000):
     probability simplex, an entirely different update rule than the
     conditional-gradient path under test."""
     cfg = QuadratureConfig()
-    from wolffkit.embedding import _restricted_atoms
-    zpts, zw, cell = _restricted_atoms(sigma, x, t)
-    t_min = cfg.resolve_t_min(cell)
+    sb = restrict(as_atomic(sigma), x, t)
+    zpts, zw = sb.points, sb.weights
+    t_min = cfg.resolve_t_min(sb.cell_size)
     op = AtomicWolffOperator(pr, grid.points, zpts, t_min=t_min)
     q = pr.q
     nu = np.full(len(grid), 1.0 / len(grid))
@@ -147,3 +147,62 @@ def test_ascent_p_below_2_still_lower_bounded(rng):
     fw = kappa_simplex_ascent(pr, sigma, np.zeros(3), 2.0, grid)
     assert not fw.concave_regime
     assert fw.value >= pm.value * (1.0 - 1e-12)
+
+
+def test_profile_ignores_zero_weight_atoms(pr213):
+    """An atom of zero weight under a candidate must not turn a rung into
+    0 * inf = nan, which the running max would silently drop."""
+    sigma = atomic([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [0.0, 1.0])
+    prof = kappa_profile(pr213, sigma, [0.1, 0.0, 0.0], [0.05, 0.3, 1.0])
+    assert prof.values.tolist() == [0.0, 0.0, math.inf]
+
+
+def test_point_mass_ignores_zero_weight_atoms(pr213):
+    sigma = atomic([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [1.0, 0.0])
+    grid = default_candidate_grid(sigma, np.zeros(3), 1.0)
+    est = kappa_point_mass(pr213, sigma, np.zeros(3), 1.0, grid)
+    assert est.value == math.inf
+
+
+def test_ascent_ignores_zero_weight_atoms(pr213):
+    sigma = atomic([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [1.0, 0.0])
+    grid = default_candidate_grid(sigma, np.zeros(3), 1.0)
+    est = kappa_simplex_ascent(pr213, sigma, np.zeros(3), 1.0, grid)
+    assert est.value == math.inf
+
+
+def _per_rung_profile(pr, sigma, x, radii):
+    """Running max of independent kappa_point_mass calls, one per rung."""
+    vals = [kappa_point_mass(pr, sigma, x, t,
+                             default_candidate_grid(sigma, x, t)).value
+            for t in radii]
+    return np.maximum.accumulate(vals)
+
+
+def test_profile_equals_per_rung_point_mass(rng, pr213):
+    """The one-pass ladder reads each closed ball as a prefix of the sorted
+    atoms: two atoms at equal distance enter together, and an atom at
+    exactly a rung's radius is inside that rung's ball."""
+    x = np.array([0.25, 0.0, 0.0])
+    g = rng.standard_normal((20, 3))
+    far = x + g / np.linalg.norm(g, axis=1, keepdims=True) \
+        * rng.uniform(0.6, 1.0, size=(20, 1))
+    pts = np.vstack([[[0.75, 0.0, 0.0], [-0.25, 0.0, 0.0], [0.25, 0.5, 0.0]],
+                     far])
+    sigma = atomic(pts, rng.uniform(0.1, 1.0, len(pts)), cell_size=0.05)
+    radii = np.array([0.02, 0.1, 0.3, 0.5, 0.8, 1.2])
+    assert radii[-1] < np.linalg.norm(x) + sigma.support_radius
+    prof = kappa_profile(pr213, sigma, x, radii)
+    assert prof.values == pytest.approx(_per_rung_profile(pr213, sigma, x, radii),
+                                        rel=1e-13)
+    # only the three atoms at distance exactly 0.5 lie within 0.5 of x
+    assert np.all(prof.values[:3] == 0.0) and prof.values[3] > 0.0
+
+
+def test_radial_profile_equals_per_rung_point_mass(pr213):
+    sigma = radial([0.0, 0.4, 1.0], [2.0, 0.5], 3)
+    x = np.array([0.3, -0.2, 0.1])
+    radii = np.geomspace(0.05, 1.2, 7)
+    prof = kappa_profile(pr213, sigma, x, radii)
+    assert prof.values == pytest.approx(_per_rung_profile(pr213, sigma, x, radii),
+                                        rel=1e-13)

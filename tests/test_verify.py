@@ -11,6 +11,7 @@ from wolffkit import (GrowthProfile, Params, PointSet, ball_capacity_check,
                       phi_nu, phi_sup, phi_sup_report, radial, scale,
                       solve_monotone, validate_params, verify_sandwich,
                       wolff_potential, zero_measure, atomic)
+from wolffkit.corpus import gen_corpus
 from conftest import random_atomic, random_params
 
 
@@ -163,6 +164,16 @@ def test_bound_field_zero_sigma_builds_no_ladder(pr213, rng, cfg):
         R_ref, terms = bilateral_bound(pr213, sigma, mu, x, None, cfg)
         assert R == R_ref
         assert row == {**terms, "kappa_total": 0.0, "kappa_direction": None}
+
+
+def test_intrinsic_term_continuous_at_radial_origin(pr213, cfg):
+    """A radial sigma's centre is no special case for the kappa ladder: K
+    sigma at the origin matches a point 1e-9 away."""
+    sigma = dict(gen_corpus(7, 3, 4))["annulus_001"]
+    pts = PointSet(np.array([[0.0, 0.0, 0.0], [1e-9, 0.0, 0.0]]))
+    _, rows = bound_field(pr213, sigma, zero_measure(3), pts, 10, cfg)
+    assert rows[0]["intrinsic_term"] == pytest.approx(rows[1]["intrinsic_term"],
+                                                      rel=1e-6)
 
 
 def test_verify_sandwich_ratios(pr213, rng):
