@@ -156,8 +156,7 @@ def _read_kappa_csv(path: str) -> KappaProfile:
 def cmd_intrinsic(args) -> int:
     pr = _parse_params(args.params, args.preset)
     prof = _read_kappa_csv(args.kappa)
-    cfg = _quad_config(args)
-    value = intrinsic_potential(pr, prof, cfg)
+    value = intrinsic_potential(pr, prof)
     hdr = _header_lines(args, {"kappa_direction": prof.direction})
     _write_csv(args.out, hdr, ["value", "kappa_direction", "saturation_radius"],
                [[value, prof.direction, prof.saturation_radius]])

@@ -18,7 +18,7 @@ import numpy as np
 from .measure import Measure, PointSet, as_atomic, restrict
 from .params import Params
 from .quadrature import QuadratureConfig
-from .wolff import AtomicWolffOperator
+from .wolff import AtomicWolffOperator, _distances
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,9 +102,7 @@ def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float) -> np.ndarr
     """Running sums of zw (W delta_y)^q over the atoms zpts for each candidate
     y (row k sums the first k atoms; F(delta_y) is its 1/q power), via the
     kernel W delta_y(z) = ((p-1)/s) max(|z-y|, t_min)^{-s/(p-1)}."""
-    # |z - y| one coordinate at a time: no atoms x candidates x n temporary
-    a = np.maximum(np.sqrt(sum((zpts[:, k, None] - candidates[None, :, k]) ** 2
-                               for k in range(candidates.shape[1]))), t_min)
+    a = np.maximum(_distances(zpts, candidates), t_min)
     with np.errstate(divide="ignore"):
         w = zw[:, None] * ((pr.p - 1.0) / pr.s * a ** (-pr.s * pr.delta)) ** pr.q
     sums = np.zeros((len(zw) + 1, len(candidates)))

@@ -184,7 +184,7 @@ def combine(m1: Measure, m2: Measure) -> Measure:
     """Sum of two measures as a single atomic measure."""
     a1, a2 = as_atomic(m1), as_atomic(m2)
     cell = None
-    cells = [c for c in (m1.cell_size, m2.cell_size) if c is not None]
+    cells = [c for c in (a1.cell_size, a2.cell_size) if c is not None]
     if cells:
         cell = max(cells)
     return Measure(kind="atomic",

@@ -72,7 +72,7 @@ def _wolff_of_wnu_q_dsigma(pr: Params, sigma: Measure, nu: Measure, x,
     if sa.weights.sum() == 0.0:
         return 0.0
     wnu_at_atoms = _wolff_rows(pr, nu, sa.points,
-                               cfg.resolve_t_min(nu.cell_size), cfg, "auto")
+                               cfg.resolve_t_min(nu.cell_size), cfg)
     if np.any(~np.isfinite(wnu_at_atoms) & (sa.weights > 0)):
         return math.inf
     weights = wnu_at_atoms ** pr.q * sa.weights
@@ -204,7 +204,7 @@ def bilateral_bound(pr: Params, sigma: Measure, mu: Measure, x,
     x = np.asarray(x, dtype=float)
     wsig = wolff_potential(pr, sigma, x, cfg)
     wterm = wsig ** pr.gamma if math.isfinite(wsig) else math.inf
-    kterm = intrinsic_potential(pr, profile, cfg) if sigma.total_mass > 0 else 0.0
+    kterm = intrinsic_potential(pr, profile) if sigma.total_mass > 0 else 0.0
     mterm = wolff_potential(pr, mu, x, cfg)
     terms = {"wolff_term": wterm, "intrinsic_term": kterm, "mu_term": mterm,
              "wolff_sigma": wsig}

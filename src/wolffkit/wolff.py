@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 
 from .measure import Measure, PointSet, ball_mass
 from .params import Params
-from .quadrature import QuadratureConfig, integrate_dt_over_t
+from .quadrature import QuadratureConfig, QuadratureWarning, integrate_dt_over_t
 
 _BIG_GRAD = 1e100
 _BLOCK_ENTRIES = 1 << 16  # rows x atoms per operator in _wolff_rows
@@ -80,6 +81,25 @@ def _support_distance(m: Measure, x: np.ndarray) -> float:
     return best
 
 
+def _power_integral(m0, r0, a, lo, hi, s: float, pm1: float):
+    """Integral of [m0 (t/r0)^a / t^s]^{1/pm1} dt/t over [lo, hi], elementwise.
+
+    With e = (a - s)/pm1 the integrand is m0^{1/pm1} r0^{-s/pm1} (t/r0)^e dt/t,
+    which integrates to ((hi/r0)^e - (lo/r0)^e)/e, or log(hi/lo) where a = s.
+    lo = 0 (for e > 0) and hi = inf (for e < 0) are allowed: the power
+    vanishes there.
+    """
+    # [()] keeps scalar input scalar: numpy's array power rounds differently
+    m0, r0, a, lo, hi = (np.asarray(v, dtype=float)[()]
+                         for v in (m0, r0, a, lo, hi))
+    delta = 1.0 / pm1
+    e = (a - s) * delta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shape = np.where(np.abs(e) < 1e-14, np.log(hi / lo),
+                         pm1 / (a - s) * ((hi / r0) ** e - (lo / r0) ** e))
+        return m0 ** delta * r0 ** (-s * delta) * shape
+
+
 def _layer_cake(m: Measure, x: np.ndarray, s: float, pm1: float, t_min: float,
                 cfg: QuadratureConfig) -> float:
     """Integral of [m(B(x,t)) / t^s]^{1/pm1} dt/t over t > t_min: the Wolff
@@ -87,64 +107,51 @@ def _layer_cake(m: Measure, x: np.ndarray, s: float, pm1: float, t_min: float,
 
     Closed-form power head below the first breakpoint when m is density-like
     at x, log-panel quadrature up to T = |x| + support_radius, exact tail.
+    A QuadratureWarning reports a quadrature error estimate above rel_tol
+    relative to the whole integral.
     """
-    delta = 1.0 / pm1
-    M = m.total_mass
     T = float(np.linalg.norm(x)) + m.support_radius
-    d0 = _support_distance(m, x)
-    if m.kind == "atomic" and t_min == 0.0 and d0 == 0.0:
-        return math.inf
-
-    tail_start = max(T, t_min)
-    if tail_start == 0.0:
-        return math.inf  # all mass at x itself, untruncated
-    tail = pm1 / s * M ** delta * tail_start ** (-s * delta)
-
-    start = max(t_min, d0)
+    start = max(t_min, _support_distance(m, x))
+    if start == 0.0 and m.kind == "atomic":
+        return math.inf  # an atom at x itself, untruncated
     bps = _breakpoints(m, x)
     head = 0.0
     if start == 0.0:
-        # density-like at x: m(B(x,t)) = c t^n exactly below the first
-        # breakpoint, giving a closed-form power head
+        # density-like at x: m(B(x,t)) = m(B(x,h0)) (t/h0)^n exactly below
+        # the first breakpoint h0
         pos = bps[bps > 0]
-        h0 = float(pos[0]) if len(pos) else T
-        h0 = min(h0, T)
-        c = ball_mass(m, x, h0) / h0 ** m.dim
-        if c > 0.0:
-            head = c ** delta * pm1 / (m.dim - s) * h0 ** ((m.dim - s) * delta)
-        start = h0
-    if start < T:
-        def g(ts):
-            masses = ball_mass(m, x, ts)
-            out = np.zeros_like(ts)
-            live = masses > 0
-            out[live] = (masses[live] / ts[live] ** s) ** delta
-            return out
+        start = min(float(pos[0]) if len(pos) else T, T)
+        head = float(_power_integral(ball_mass(m, x, start), start, m.dim,
+                                     0.0, start, s, pm1))
 
-        quad = integrate_dt_over_t(g, start, T, bps, cfg)
-    else:
-        quad = 0.0
-        tail = pm1 / s * M ** delta * max(start, tail_start) ** (-s * delta)
-    return head + quad + tail
+    def g(ts):
+        masses = ball_mass(m, x, ts)
+        out = np.zeros_like(ts)
+        live = masses > 0
+        out[live] = (masses[live] / ts[live] ** s) ** (1.0 / pm1)
+        return out
+
+    quad, err = integrate_dt_over_t(g, start, T, bps, cfg)
+    lo = max(start, T)
+    tail = float(_power_integral(m.total_mass, lo, 0.0, lo, math.inf, s, pm1))
+    total = head + quad + tail
+    if err > cfg.rel_tol * total:
+        warnings.warn(f"quadrature error estimate {err / total:.3e} exceeds "
+                      f"rel_tol {cfg.rel_tol:.3e}", QuadratureWarning)
+    return total
 
 
-def wolff_potential(pr: Params, m: Measure, x, cfg: QuadratureConfig | None = None,
-                    t_min: float | None = None, method: str = "auto") -> float:
-    """Wolff potential of m at x.
-
-    t_min overrides the config's truncation policy; method is "auto"
-    (closed form for atomic, quadrature for radial), "exact", or
-    "quadrature".
-    """
+def wolff_potential(pr: Params, m: Measure, x,
+                    cfg: QuadratureConfig | None = None) -> float:
+    """Wolff potential of m at x, truncated below cfg's t_min for m."""
     cfg = cfg or QuadratureConfig()
     x = np.asarray(x, dtype=float)
-    if t_min is None:
-        t_min = cfg.resolve_t_min(m.cell_size)
-    return float(_wolff_rows(pr, m, x[None, :], t_min, cfg, method)[0])
+    t_min = cfg.resolve_t_min(m.cell_size)
+    return float(_wolff_rows(pr, m, x[None, :], t_min, cfg)[0])
 
 
 def _wolff_rows(pr: Params, m: Measure, pts: np.ndarray, t_min: float,
-                cfg: QuadratureConfig, method: str) -> np.ndarray:
+                cfg: QuadratureConfig) -> np.ndarray:
     """Wolff potential of m at each row of pts: zeros for zero mass, inf
     for s <= 0, closed-form operators over blocks of rows for an atomic m,
     the layer-cake quadrature row by row otherwise."""
@@ -152,22 +159,23 @@ def _wolff_rows(pr: Params, m: Measure, pts: np.ndarray, t_min: float,
         return np.zeros(len(pts))
     if pr.s <= 0.0:
         return np.full(len(pts), math.inf)
-    if method == "auto":
-        method = "exact" if m.kind == "atomic" else "quadrature"
-    if method == "exact":
-        if m.kind != "atomic":
-            raise ValueError("exact evaluation requires an atomic measure")
-        # blocks of rows bound each operator's rows x atoms arrays
-        step = max(1, _BLOCK_ENTRIES // len(m.points))
-        out = np.empty(len(pts))
-        for i in range(0, len(pts), step):
-            op = AtomicWolffOperator(pr, m.points, pts[i:i + step], t_min)
-            out[i:i + step] = op.apply(m.weights)
-        return out
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    return np.array([_layer_cake(m, x, pr.s, pr.p - 1.0, t_min, cfg)
-                     for x in pts])
+    if m.kind != "atomic":
+        return np.array([_layer_cake(m, x, pr.s, pr.p - 1.0, t_min, cfg)
+                         for x in pts])
+    # blocks of rows bound each operator's rows x atoms arrays
+    step = max(1, _BLOCK_ENTRIES // len(m.points))
+    out = np.empty(len(pts))
+    for i in range(0, len(pts), step):
+        op = AtomicWolffOperator(pr, m.points, pts[i:i + step], t_min)
+        out[i:i + step] = op.apply(m.weights)
+    return out
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j| for every row pair, one coordinate at a time: no
+    len(a) x len(b) x n temporary."""
+    return np.sqrt(sum((a[:, k, None] - b[None, :, k]) ** 2
+                       for k in range(a.shape[1])))
 
 
 class AtomicWolffOperator:
@@ -185,7 +193,7 @@ class AtomicWolffOperator:
         self.t_min = float(t_min)
         atom_points = np.atleast_2d(np.asarray(atom_points, dtype=float))
         eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
-        D = np.linalg.norm(eval_points[:, None, :] - atom_points[None, :, :], axis=2)
+        D = _distances(eval_points, atom_points)
         self.idx = np.argsort(D, axis=1)
         dsort = np.take_along_axis(D, self.idx, axis=1)
         a = np.maximum(dsort, self.t_min)
@@ -234,7 +242,7 @@ def wolff_field(pr: Params, m: Measure, points: PointSet,
     of wolff_potential; an atomic m builds one operator per block of points."""
     cfg = cfg or QuadratureConfig()
     t_min = cfg.resolve_t_min(m.cell_size)
-    vals = _wolff_rows(pr, m, points.points, t_min, cfg, "auto")
+    vals = _wolff_rows(pr, m, points.points, t_min, cfg)
     return PotentialField(params=pr, points=points, values=vals, t_min=t_min)
 
 

@@ -1,0 +1,52 @@
+"""The benchmark's span tracer wraps wolffkit functions and methods by name.
+
+A refactor that renames or removes one of them should fail here, not only
+in the benchmark run.  The tracer is loaded from its file and never
+modified.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import wolffkit.cli  # noqa: F401  (the tracer pins names in cli and corpus)
+import wolffkit.corpus  # noqa: F401
+from wolffkit import embedding, solver, wolff
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    """(owner, name) -> id of the bound object, for every attribute of every
+    wolffkit module and of the classes whose methods the tracer wraps."""
+    owners = [mod for key, mod in sys.modules.items()
+              if key == "wolffkit" or key.startswith("wolffkit.")]
+    owners += [wolff.AtomicWolffOperator, solver.SolveGeometry]
+    return {(owner, k): id(v) for owner in owners for k, v in vars(owner).items()}
+
+
+def test_tracer_pins_resolve_and_uninstall_restores():
+    tr = _load_tracer()
+    for modname, attr, _ in tr.FUNCTION_SPANS:
+        assert callable(getattr(sys.modules[modname], attr)), (modname, attr)
+    for cls, attr, _ in tr.METHOD_SPANS:
+        assert callable(cls.__dict__[attr]), (cls, attr)
+    assert callable(embedding._point_mass_scan)
+    assert callable(solver.SolveGeometry.__dict__["apply"])
+
+    before = _bindings()
+    tracer = tr.Tracer()
+    tracer.install()
+    try:
+        for owner, key, orig, wrapper in tracer._patches:
+            assert getattr(owner, key) is wrapper is not orig
+    finally:
+        tracer.uninstall()
+    assert _bindings() == before

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from wolffkit import (ExtrapolationWarning, GrowthProfile, KappaEstimate,
                       KappaProfile, intrinsic_potential, intrinsic_tail_finite,
                       kappa_profile, radial, scale, validate_params)
-from wolffkit.intrinsic import _segment_integral
+from wolffkit.wolff import _power_integral
 
 
 def _profile(radii, values, sat=None, direction="lower_bound"):
@@ -18,25 +18,34 @@ def _profile(radii, values, sat=None, direction="lower_bound"):
                         saturation_radius=sat if sat is not None else radii[-1])
 
 
-def test_segment_integral_against_scipy():
+def test_power_integral_against_scipy():
+    """A log-linear kappa segment kappa(t) = c0 (t/r0)^b is the power piece
+    kappa^kexp = c0^kexp (t/r0)^(b kexp)."""
     pr = validate_params(3.0, 1.0, 1.0, 5)  # s = 2
-    kprime = pr.kexp / (pr.p - 1.0)
-    sexp = pr.s / (pr.p - 1.0)
     c0, r0, b = 1.7, 0.3, 0.8
 
     def integrand(t):
         kap = c0 * (t / r0) ** b
         return (kap ** pr.kexp / t ** pr.s) ** (1.0 / (pr.p - 1.0)) / t
 
-    got = _segment_integral(c0, r0, b, kprime, sexp, 0.3, 1.2)
+    got = _power_integral(c0 ** pr.kexp, r0, b * pr.kexp, 0.3, 1.2, pr.s,
+                          pr.p - 1.0)
     want, _ = quad(integrand, 0.3, 1.2)
     assert got == pytest.approx(want, rel=1e-10)
 
 
-def test_segment_integral_log_case():
-    # b * kprime == sexp: the integrand is exactly c/t
-    got = _segment_integral(2.0, 1.0, 1.0, 1.0, 1.0, 1.0, math.e)
+def test_power_integral_log_case():
+    # a == s: the integrand is exactly c/t
+    got = _power_integral(4.0, 1.0, 1.0, 1.0, math.e, 1.0, 2.0)
     assert got == pytest.approx(2.0, rel=1e-10)
+
+
+def test_power_integral_open_ends():
+    """lo = 0 under a growing power and hi = inf under a decaying one, with
+    elementwise arrays: t^2 dt/t on [0, 2] and 5/t dt/t on [2, inf)."""
+    got = _power_integral([8.0, 5.0], 2.0, [3.0, 0.0], [0.0, 2.0],
+                          [2.0, math.inf], 1.0, 1.0)
+    assert got == pytest.approx([2.0, 2.5], rel=1e-15)
 
 
 def test_power_law_profile_closed_form():
@@ -50,7 +59,7 @@ def test_power_law_profile_closed_form():
     got = intrinsic_potential(pr, prof)
     # integral of t^{a kexp - s - 1} dt from 0 to 1 plus tail kappa_tot/s
     want = 1.0 / (a * pr.kexp - pr.s) + 1.0
-    assert got == pytest.approx(want, rel=1e-3)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_scaling_law_exact():

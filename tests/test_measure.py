@@ -131,6 +131,21 @@ def test_scale_and_combine():
             ball_mass(m1, x, t) + ball_mass(m2, x, t))
 
 
+def test_combine_keeps_radial_truncation_scale():
+    """A radial summand contributes the cell size of its atomic surrogate:
+    the Wolff potential of the sum is finite at the surrogate's atoms and
+    equals the potential of the sum built from the surrogate itself."""
+    from wolffkit import validate_params, wolff_potential
+    pr = validate_params(2.0, 0.5, 1.0, 3)
+    r = radial([0.0, 1.0], [1.0], 3)
+    extra = atomic([[2.0, 0.0, 0.0]], [0.1])
+    both, via = combine(r, extra), combine(as_atomic(r), extra)
+    assert both.cell_size == as_atomic(r).cell_size
+    x = as_atomic(r).points[0]
+    w = wolff_potential(pr, both, x)
+    assert np.isfinite(w) and w == wolff_potential(pr, via, x)
+
+
 def test_restrict_atomic_and_radial():
     m = atomic(np.array([[0.5, 0.0], [2.0, 0.0]]), [1.0, 1.0])
     r = restrict(m, np.zeros(2), 1.0)

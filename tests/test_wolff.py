@@ -15,7 +15,7 @@ from conftest import random_atomic, random_params
 
 
 def test_point_mass_quadrature_matches_closed_form(rng):
-    """The defining oracle: quadrature on a single atom reproduces
+    """The defining oracle: the layer cake on a single atom reproduces
     ((p-1)/s) r^{-s/(p-1)} to 1e-10."""
     for _ in range(10):
         pr = random_params(rng)
@@ -25,18 +25,21 @@ def test_point_mass_quadrature_matches_closed_form(rng):
         y[0] = r
         m = atomic(y[None, :], [1.0])
         exact = wolff_point_mass_value(pr, r)
-        quad = wolff_potential(pr, m, x, method="quadrature", t_min=0.0)
+        quad = wolff._layer_cake(m, x, pr.s, pr.p - 1.0, 0.0, QuadratureConfig())
         assert quad == pytest.approx(exact, rel=1e-10)
         assert wolff_potential(pr, m, x) == pytest.approx(exact, rel=1e-12)
 
 
 def test_atomic_exact_matches_quadrature(rng):
+    """Untruncated (t_min_policy "zero"), the closed-form atomic path agrees
+    with the layer-cake quadrature on the same atoms."""
+    cfg = QuadratureConfig(t_min_policy="zero")
     for _ in range(5):
         pr = random_params(rng)
         m = random_atomic(rng, n=pr.n, k=7)
         x = rng.normal(size=pr.n) * 2.0
-        ex = wolff_potential(pr, m, x, method="exact", t_min=0.0)
-        qd = wolff_potential(pr, m, x, method="quadrature", t_min=0.0)
+        ex = wolff_potential(pr, m, x, cfg)
+        qd = wolff._layer_cake(m, x, pr.s, pr.p - 1.0, 0.0, cfg)
         assert qd == pytest.approx(ex, rel=1e-9)
 
 
@@ -71,6 +74,21 @@ def test_wolff_tail_exact_far_away():
     assert got == pytest.approx(lo, rel=0.1)
 
 
+def test_quadrature_error_judged_against_whole_potential():
+    """Corpus seed 0, radial_bump_000 in n = 2 at p = 2.5: the estimate
+    |Q12 - Q6| is 4.3e-8 of the quadrature part but 8.2e-9 of the whole
+    potential, whose head and tail are exact (true error 9.7e-11), so no
+    QuadratureWarning is raised."""
+    from wolffkit.corpus import gen_corpus
+    m = dict(gen_corpus(0, 2, 1))["radial_bump_000"]
+    pr = validate_params(2.5, 0.75, 0.5, 2)
+    x = np.array([-1.2590655321041202, 1.5139237747390626])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureWarning)
+        got = wolff_potential(pr, m, x)
+    assert got == pytest.approx(0.4079739438764164, rel=1e-9)
+
+
 def test_homogeneity_exact(rng):
     for _ in range(6):
         pr = random_params(rng)
@@ -94,8 +112,9 @@ def test_zero_measure_and_atom_singularity(pr213):
     assert wolff_potential(pr213, zero_measure(3), np.zeros(3)) == 0.0
     m = atomic(np.zeros((1, 3)), [1.0])
     assert wolff_potential(pr213, m, np.zeros(3)) == math.inf
-    # truncated evaluation is finite
-    assert wolff_potential(pr213, m, np.zeros(3), t_min=0.5) == pytest.approx(
+    # truncated at the atom's cell size, the evaluation is finite
+    cell = atomic(np.zeros((1, 3)), [1.0], cell_size=0.5)
+    assert wolff_potential(pr213, cell, np.zeros(3)) == pytest.approx(
         wolff_point_mass_value(pr213, 0.0, t_min=0.5))
 
 
@@ -124,7 +143,7 @@ def test_p2_wolff_riesz_constant_ratio(rng):
     for _ in range(5):
         m = random_atomic(rng, n=3, k=8)
         x = rng.normal(size=3) * 3
-        w = wolff_potential(pr, m, x, t_min=0.0)
+        w = wolff_potential(pr, m, x, QuadratureConfig(t_min_policy="zero"))
         i2 = riesz_potential(2.0 * pr.alpha, m, x)
         assert w == pytest.approx(i2 / pr.s, rel=1e-12)
 
@@ -154,7 +173,8 @@ def test_operator_rows_match_wolff_potential(rng, pr213):
     evals = rng.normal(size=(6, 3)) * 2
     op = AtomicWolffOperator(pr213, m.points, evals, t_min=0.0)
     got = op.apply(m.weights)
-    want = [wolff_potential(pr213, m, x, t_min=0.0) for x in evals]
+    want = [wolff_potential(pr213, m, x, QuadratureConfig(t_min_policy="zero"))
+            for x in evals]
     assert got == pytest.approx(want, rel=1e-13)
 
 
