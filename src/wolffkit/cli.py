@@ -326,11 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Nonlinear potential toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, params=True):
+    def common(sp, params=True, quadrature=True):
         if params:
             sp.add_argument("--params", required=True,
                             help="p,q,alpha,n (comma separated)")
             sp.add_argument("--preset", choices=["p-laplace", "hessian"])
+        if not quadrature:
+            return
         sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-8)
         sp.add_argument("--panels-per-decade", dest="panels_per_decade",
                         type=int, default=32)
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_kappa)
 
     sp = sub.add_parser("intrinsic", help="intrinsic potential from a kappa profile")
-    common(sp)
+    common(sp, quadrature=False)  # closed form: no quadrature settings
     sp.add_argument("--kappa", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_intrinsic)

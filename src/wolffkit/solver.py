@@ -46,14 +46,17 @@ class SolveGeometry:
         # merge coincident atoms, summing weights, in first-occurrence order
         first = _match_rows(sa.points, sa.points)
         keep = first == np.arange(len(first))
-        apts = sa.points[keep]
+        # no copy of sigma's atoms unless some merge or points are added:
+        # the report holds the coupled set for as long as the caller keeps it
+        apts = sa.points if keep.all() else sa.points[keep]
         self.sigma_weights = np.bincount(first, sa.weights, len(first))[keep]
         self.n_atoms = len(apts)
-        extra = np.empty((0, apts.shape[1]))
+        self.all_points = apts
         if points is not None:
             # keep only eval points that are not sigma atoms
             extra = points.points[_match_rows(points.points, apts) < 0]
-        self.all_points = np.vstack([apts, extra])
+            if len(extra):
+                self.all_points = np.vstack([apts, extra])
         self.points = PointSet(points=self.all_points, tag="solve")
         self.t_min = cfg.resolve_t_min(sa.cell_size)
         self.op = AtomicWolffOperator(pr, apts, self.all_points, t_min=self.t_min)

@@ -8,8 +8,9 @@ is density-like at x), composite log-panel quadrature on [start, T], and the
 exact tail (p-1)/s * M^{1/(p-1)} * T^{-s/(p-1)}.
 
 For atomic measures the ball-mass map is a step function and the whole
-integral has a closed form; AtomicWolffOperator exposes that fast path for
-the optimizer and solver loops.
+integral has a closed form (a kernel sum at p = 2, where the potential is
+linear in the measure); AtomicWolffOperator exposes that fast path for the
+optimizer and solver loops.
 """
 
 from __future__ import annotations
@@ -86,17 +87,21 @@ def _power_integral(m0, r0, a, lo, hi, s: float, pm1: float):
 
     With e = (a - s)/pm1 the integrand is m0^{1/pm1} r0^{-s/pm1} (t/r0)^e dt/t,
     which integrates to ((hi/r0)^e - (lo/r0)^e)/e, or log(hi/lo) where a = s.
-    lo = 0 (for e > 0) and hi = inf (for e < 0) are allowed: the power
-    vanishes there.
+    Near that log case the difference cancels, so where |e log(hi/lo)| < 1
+    it is taken as (lo/r0)^e expm1(e log(hi/lo))/e.  lo = 0 (for e > 0) and
+    hi = inf (for e < 0) are allowed: the power vanishes there.
     """
     # [()] keeps scalar input scalar: numpy's array power rounds differently
     m0, r0, a, lo, hi = (np.asarray(v, dtype=float)[()]
                          for v in (m0, r0, a, lo, hi))
     delta = 1.0 / pm1
     e = (a - s) * delta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shape = np.where(np.abs(e) < 1e-14, np.log(hi / lo),
-                         pm1 / (a - s) * ((hi / r0) ** e - (lo / r0) ** e))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log(hi / lo)
+        power = np.where(np.abs(e * log_ratio) < 1.0,
+                         (lo / r0) ** e * np.expm1(e * log_ratio),
+                         (hi / r0) ** e - (lo / r0) ** e)
+        shape = np.where(np.abs(e) < 1e-14, log_ratio, pm1 / (a - s) * power)
         return m0 ** delta * r0 ** (-s * delta) * shape
 
 
@@ -185,6 +190,12 @@ class AtomicWolffOperator:
     Used by the simplex ascent (vary nu weights) and the monotone solver
     (vary u^q * sigma weights) where thousands of evaluations share one
     distance structure.
+
+    At p = 2 the potential is linear in the weights,
+    W nu(z) = sum_k w_k K[z, k] with K = max(|z - y_k|, t_min)^{-s} / s, and
+    coef holds K itself (idx is the identity order).  Otherwise each row is
+    sorted by distance once, and coef holds the shell differences of the
+    closed form sum_k coef_k M_k^delta over the cumulative ball masses M_k.
     """
 
     def __init__(self, pr: Params, atom_points: np.ndarray, eval_points: np.ndarray,
@@ -193,17 +204,40 @@ class AtomicWolffOperator:
         self.t_min = float(t_min)
         atom_points = np.atleast_2d(np.asarray(atom_points, dtype=float))
         eval_points = np.atleast_2d(np.asarray(eval_points, dtype=float))
-        D = _distances(eval_points, atom_points)
-        self.idx = np.argsort(D, axis=1)
-        dsort = np.take_along_axis(D, self.idx, axis=1)
-        a = np.maximum(dsort, self.t_min)
         s, delta = pr.s, pr.delta
         if s <= 0.0:
             raise ValueError("AtomicWolffOperator requires s > 0")
+        D = _distances(eval_points, atom_points)
+        self.linear = delta == 1.0
+        if self.linear:
+            K = np.maximum(D, self.t_min, out=D)  # in place: one E x A array
+            with np.errstate(divide="ignore"):
+                K **= -s
+            K /= s
+            # an atom at an eval point with t_min = 0: its kernel entry is
+            # inf, kept apart so that a zero weight there contributes 0
+            self._at_atom = np.nonzero(np.isinf(K))
+            K[self._at_atom] = 0.0
+            K.flags.writeable = False  # apply_with_grad hands it out
+            self.coef = K
+            self.idx = np.broadcast_to(np.arange(D.shape[1], dtype=np.int32),
+                                       D.shape)
+            return
+        self.idx = np.argsort(D, axis=1)
+        dsort = np.take_along_axis(D, self.idx, axis=1)
+        a = np.maximum(dsort, self.t_min)
         with np.errstate(divide="ignore"):
             b = a ** (-s * delta)
         b_next = np.concatenate([b[:, 1:], np.zeros((len(b), 1))], axis=1)
         self.coef = (pr.p - 1.0) / s * (b - b_next)
+
+    def _kernel_apply(self, weights: np.ndarray) -> np.ndarray:
+        # einsum, unlike a BLAS matvec, sums each row the same way whatever
+        # the number of rows, so row blocks agree bit for bit
+        vals = np.einsum("ij,j->i", self.coef, weights)
+        rows, cols = self._at_atom
+        vals[rows[weights[cols] > 0]] = math.inf
+        return vals
 
     def _shell_terms(self, weights: np.ndarray):
         """Cumulative ball masses M along each sorted row, their live mask
@@ -217,11 +251,20 @@ class AtomicWolffOperator:
     def apply(self, weights: np.ndarray) -> np.ndarray:
         """Wolff potential of the measure with given atom weights, at every
         eval point."""
+        if self.linear:
+            return self._kernel_apply(weights)
         return self._shell_terms(weights)[2].sum(axis=1)
 
     def apply_with_grad(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values plus the Jacobian d W(z) / d w_k (clipped where the
-        one-sided derivative is infinite for p > 2 at zero mass)."""
+        """Values plus the Jacobian d W(z) / d w_k: the kernel K at p = 2
+        (inf at an atom on an eval point when t_min = 0); clipped where the
+        one-sided derivative is infinite for p > 2 at zero mass."""
+        if self.linear:
+            grad = self.coef
+            if len(self._at_atom[0]):
+                grad = grad.copy()
+                grad[self._at_atom] = math.inf
+            return self._kernel_apply(weights), grad
         delta = self.pr.delta
         Mcum, live, terms = self._shell_terms(weights)
         vals = terms.sum(axis=1)

@@ -9,9 +9,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import wolffkit.cli  # noqa: F401  (the tracer pins names in cli and corpus)
 import wolffkit.corpus  # noqa: F401
-from wolffkit import embedding, solver, wolff
+from wolffkit import embedding, solver, validate_params, wolff
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -50,3 +52,16 @@ def test_tracer_pins_resolve_and_uninstall_restores():
     finally:
         tracer.uninstall()
     assert _bindings() == before
+
+
+def test_operator_arrays_the_tracer_reads():
+    """The tracer counts build entries and kernel evaluations from
+    op.idx.size and operator bytes from idx and coef: both are rows x atoms
+    in the p = 2 kernel form and in the sorted form."""
+    rng = np.random.default_rng(0)
+    atoms, evals = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+    for p in (2.0, 2.5):
+        op = wolff.AtomicWolffOperator(validate_params(p, 0.5, 1.0, 3),
+                                       atoms, evals, t_min=0.1)
+        assert op.idx.shape == op.coef.shape == (5, 7)
+        assert op.idx.dtype.kind == "i" and op.coef.dtype == np.float64

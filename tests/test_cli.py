@@ -197,3 +197,22 @@ def test_config_header_records_env_overrides(workdir, monkeypatch):
     cfg = json.loads(header[0].split(":", 1)[1])
     assert cfg["panels_per_decade"] == 48
     assert cfg["rel_tol"] == 1e-7
+
+
+def test_intrinsic_takes_no_quadrature_flags(workdir):
+    """The intrinsic potential is closed form: the quadrature flags are not
+    offered there, and its config header has no quadrature keys."""
+    kap, out = workdir / "kap.csv", workdir / "k.csv"
+    assert main(["kappa", "--params", "2,0.5,1,3",
+                 "--sigma", str(workdir / "sigma.json"), "--center", "0,0,0",
+                 "--radii", "0.1:2:4", "--out", str(kap)]) == 0
+    base = ["intrinsic", "--params", "2,0.5,1,3", "--kappa", str(kap),
+            "--out", str(out)]
+    assert main(base) == 0
+    header, rows = _read_csv(out)
+    cfg = json.loads(header[0].split(":", 1)[1])
+    assert not {"rel_tol", "panels_per_decade", "t_min_policy"} & set(cfg)
+    assert float(rows[0]["value"]) > 0
+    for flag in (["--rel-tol", "1e-6"], ["--panels-per-decade", "16"],
+                 ["--t-min-policy", "zero"]):
+        assert main(base + flag) == 2

@@ -40,6 +40,14 @@ def test_power_integral_log_case():
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
+def test_power_integral_near_log_case():
+    """e = (a - s)/pm1 = 1e-13, just above the exact-log threshold: the
+    difference of powers would cancel to a 1.9e-3 error, the expm1 form
+    keeps the log limit 2 log(1.8)."""
+    got = _power_integral(1.0, 0.5, 1.0 + 1e-13, 0.5, 0.9, 1.0, 1.0)
+    assert got == pytest.approx(2.0 * math.log(1.8), rel=1e-12)
+
+
 def test_power_integral_open_ends():
     """lo = 0 under a growing power and hi = inf under a decaying one, with
     elementwise arrays: t^2 dt/t on [0, 2] and 5/t dt/t on [2, inf)."""

@@ -193,6 +193,63 @@ def test_operator_gradient_finite_difference(rng):
         assert grad[:, k] == pytest.approx(fd, rel=1e-3, abs=1e-8)
 
 
+def _p2_kernel(pr, atoms, evals, t_min):
+    """K[z, k] = W delta_{y_k}(z) at p = 2, from the point-mass closed form."""
+    return np.array([[wolff_point_mass_value(pr, float(np.linalg.norm(z - y)),
+                                             1.0, t_min) for y in atoms]
+                     for z in evals])
+
+
+def test_p2_operator_matches_point_mass_sums(rng):
+    """At p = 2 the operator is the kernel sum of point-mass potentials:
+    1e-14 relative on random clouds, with and without t_min."""
+    for n in (1, 3, 5):
+        pr = validate_params(2.0, 0.5, 0.3 if n == 1 else 1.0, n)
+        atoms = rng.normal(size=(40, n))
+        evals = rng.normal(size=(25, n))
+        w = rng.uniform(0.0, 1.0, 40)
+        w[::7] = 0.0
+        for t_min in (0.0, 0.3):
+            op = AtomicWolffOperator(pr, atoms, evals, t_min)
+            want = [math.fsum(w * row)
+                    for row in _p2_kernel(pr, atoms, evals, t_min)]
+            assert op.apply(w) == pytest.approx(want, rel=1e-14)
+
+
+def test_p2_operator_at_coincident_points(pr213):
+    """t_min = 0 with an eval point on an atom: inf under a positive weight,
+    and no nan under a zero one (that atom then adds nothing)."""
+    atoms = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    op = AtomicWolffOperator(pr213, atoms, atoms[:2], t_min=0.0)
+    got = op.apply(np.array([0.0, 1.0, 0.5]))
+    assert got[0] == pytest.approx(1.0 + 0.5 / 2.0, rel=1e-15)
+    assert got[1] == math.inf
+    vals, grad = op.apply_with_grad(np.array([0.5, 0.0, 0.0]))
+    assert vals[0] == math.inf and vals[1] == pytest.approx(0.5, rel=1e-15)
+    assert grad[0, 0] == grad[1, 1] == math.inf
+    assert grad[0, 1] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_p2_gradient_is_kernel(rng, pr213):
+    """At p = 2 the Jacobian is the kernel K itself, also for atoms nearer
+    to z than the first atom of positive weight (zero weights there), and
+    it matches central finite differences."""
+    evals = rng.normal(size=(4, 3))
+    near = evals + 0.05 * rng.normal(size=(4, 3))
+    atoms = np.vstack([near, rng.normal(size=(6, 3)) * 2.0])
+    w = np.concatenate([np.zeros(4), rng.uniform(0.1, 1.0, 6)])
+    t_min = 0.01
+    op = AtomicWolffOperator(pr213, atoms, evals, t_min)
+    _, grad = op.apply_with_grad(w)
+    K = _p2_kernel(pr213, atoms, evals, t_min)
+    assert grad == pytest.approx(K, rel=1e-14)
+    eps = 1e-4
+    for k in range(len(w)):
+        step = np.where(np.arange(len(w)) == k, eps, 0.0)
+        fd = (op.apply(w + step) - op.apply(w - step)) / (2.0 * eps)
+        assert grad[:, k] == pytest.approx(fd, rel=1e-8)
+
+
 def test_wolff_field_vectorizes(rng, pr213, monkeypatch):
     """The batched field equals wolff_potential point by point, exactly:
     atomic with a cell size, genuinely atomic (inf at its atoms), radial,
