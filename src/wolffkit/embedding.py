@@ -18,7 +18,7 @@ import numpy as np
 from .measure import Measure, PointSet, as_atomic, restrict
 from .params import Params
 from .quadrature import QuadratureConfig
-from .wolff import AtomicWolffOperator, _distances
+from .wolff import _BLOCK_ENTRIES, AtomicWolffOperator
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,10 +82,10 @@ def _point_mass_ladder(pr: Params, sa: Measure, x, radii, candidates: np.ndarray
     ks = np.searchsorted(d[order], radii, side="right")
     ball = live[order[: ks[-1]]]
     sums = _point_mass_scan(pr, sa.points[ball], sa.weights[ball], candidates,
-                            cfg.resolve_t_min(sa.cell_size))
-    return [KappaEstimate(float(sums[k, c].max()) ** (1.0 / pr.q), "lower_bound",
+                            cfg.resolve_t_min(sa.cell_size), ks)
+    return [KappaEstimate(float(row[c].max()) ** (1.0 / pr.q), "lower_bound",
                           "point_mass", len(c) if k else 0, pr.p >= 2.0)
-            for k, c in zip(ks, columns)]
+            for row, k, c in zip(sums, ks, columns)]
 
 
 def kappa_point_mass(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
@@ -98,16 +98,32 @@ def kappa_point_mass(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
                               [np.arange(len(grid))], cfg or QuadratureConfig())[0]
 
 
-def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float) -> np.ndarray:
-    """Running sums of zw (W delta_y)^q over the atoms zpts for each candidate
-    y (row k sums the first k atoms; F(delta_y) is its 1/q power), via the
-    kernel W delta_y(z) = ((p-1)/s) max(|z-y|, t_min)^{-s/(p-1)}."""
-    a = np.maximum(_distances(zpts, candidates), t_min)
-    with np.errstate(divide="ignore"):
-        w = zw[:, None] * ((pr.p - 1.0) / pr.s * a ** (-pr.s * pr.delta)) ** pr.q
-    sums = np.zeros((len(zw) + 1, len(candidates)))
-    np.cumsum(w, axis=0, out=sums[1:])
-    return sums
+def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float,
+                     ends=None) -> np.ndarray:
+    """Rung rows: row j sums zw (W delta_y)^q over the first ends[j] atoms
+    of zpts, for each candidate y (F(delta_y) is its 1/q power), with the
+    kernel W delta_y(z) = ((p-1)/s) max(|z-y|, t_min)^{-s/(p-1)}.  ends
+    defaults to the whole ball, one row.
+
+    The atoms are walked in blocks of _BLOCK_ENTRIES entries, split at the
+    ends; a block's kernel is one power of the clamped squared distances."""
+    ends = np.asarray([len(zw)] if ends is None else ends, dtype=int)
+    power = -0.5 * pr.s * pr.delta * pr.q
+    step = max(1, _BLOCK_ENTRIES // len(candidates))
+    out = np.zeros((len(ends), len(candidates)))
+    row = np.zeros(len(candidates))
+    cuts = np.union1d(np.arange(0, ends.max(initial=0), step), ends)
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        blk = zpts[i:j]
+        d2 = (blk[:, 0, None] - candidates[None, :, 0]) ** 2
+        for k in range(1, blk.shape[1]):
+            d2 += (blk[:, k, None] - candidates[None, :, k]) ** 2
+        np.maximum(d2, t_min * t_min, out=d2)
+        with np.errstate(divide="ignore"):
+            d2 **= power
+        row += zw[i:j] @ d2
+        out[ends == j] = row
+    return ((pr.p - 1.0) / pr.s) ** pr.q * out
 
 
 def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet,

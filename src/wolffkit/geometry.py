@@ -9,7 +9,9 @@ unit in the last place.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc, gammaln
+
+# scipy.special is imported where it is used: it is most of the package's
+# import time, and atomic measures never need it.
 
 
 def _result(v: np.ndarray):
@@ -18,6 +20,7 @@ def _result(v: np.ndarray):
 
 def ball_volume(r, n: int):
     """Volume of the n-ball of radius r (0 for r <= 0)."""
+    from scipy.special import gammaln
     r = np.asarray(r, dtype=float)
     unit = np.exp(0.5 * n * np.log(np.pi) - gammaln(1.0 + 0.5 * n))
     # [()] turns a 0-d array into a numpy scalar, whose ** is the scalar pow
@@ -27,6 +30,7 @@ def ball_volume(r, n: int):
 def cap_volume(r, a, n: int):
     """Volume of the cap of the n-ball of radius r cut at signed distance a
     from the center (a >= 0: minor cap, a < 0: majority side)."""
+    from scipy.special import betainc
     r, a = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(a, dtype=float))
     v = np.asarray(ball_volume(r, n))  # 0 for r <= 0, where |a| < r fails too
     cut = np.abs(a) < r
@@ -41,8 +45,12 @@ def intersection_volume(d, r1, r2, n: int):
     live = (r1 > 0.0) & (r2 > 0.0) & (d < r1 + r2)
     nested = live & (d <= np.abs(r1 - r2))  # includes d = 0
     lens = live & ~nested  # d > 0 here
-    dd = np.where(lens, d, 1.0)
-    a1 = (dd * dd + r1 * r1 - r2 * r2) / (2.0 * dd)
-    a2 = (dd * dd - r1 * r1 + r2 * r2) / (2.0 * dd)
-    inside = np.where(nested, ball_volume(np.minimum(r1, r2), n), 0.0)
-    return _result(np.where(lens, cap_volume(r1, a1, n) + cap_volume(r2, a2, n), inside))
+    out = np.where(nested, ball_volume(np.minimum(r1, r2), n), 0.0)
+    if lens.any():
+        # caps only on the lens entries; () keeps a scalar a scalar
+        sel = lens if lens.ndim else ()
+        dd, s1, s2 = d[sel], r1[sel], r2[sel]
+        a1 = (dd * dd + s1 * s1 - s2 * s2) / (2.0 * dd)
+        a2 = (dd * dd - s1 * s1 + s2 * s2) / (2.0 * dd)
+        out[sel] = cap_volume(s1, a1, n) + cap_volume(s2, a2, n)
+    return _result(out)

@@ -149,14 +149,10 @@ def ball_mass(m: Measure, x, t):
         cum = np.concatenate([[0.0], np.cumsum(m.weights[order])])
         total = cum[np.searchsorted(d[order], t, side="right")]
     else:
-        d = float(np.linalg.norm(x))
-        total = np.zeros(t.shape)
-        for j, rho in enumerate(m.densities):
-            if rho == 0.0:
-                continue
-            lo, hi = m.bin_edges[j], m.bin_edges[j + 1]
-            total += rho * (intersection_volume(d, t, hi, m.dim)
-                            - intersection_volume(d, t, lo, m.dim))
+        # the ball's volume inside each edge sphere, once per edge
+        v = intersection_volume(float(np.linalg.norm(x)), t[..., None],
+                                m.bin_edges, m.dim)
+        total = (np.diff(v, axis=-1) * m.densities).sum(-1)
     return float(total) if total.ndim == 0 else total
 
 

@@ -229,7 +229,10 @@ class AtomicWolffOperator:
         with np.errstate(divide="ignore"):
             b = a ** (-s * delta)
         b_next = np.concatenate([b[:, 1:], np.zeros((len(b), 1))], axis=1)
-        self.coef = (pr.p - 1.0) / s * (b - b_next)
+        # b is nonincreasing along a row; an empty shell between equal b
+        # (atoms at one distance, inf for atoms on the eval point) gets 0
+        self.coef = np.subtract(b, b_next, out=np.zeros_like(b), where=b > b_next)
+        self.coef *= (pr.p - 1.0) / s
 
     def _kernel_apply(self, weights: np.ndarray) -> np.ndarray:
         # einsum, unlike a BLAS matvec, sums each row the same way whatever

@@ -206,3 +206,33 @@ def test_radial_profile_equals_per_rung_point_mass(pr213):
     prof = kappa_profile(pr213, sigma, x, radii)
     assert prof.values == pytest.approx(_per_rung_profile(pr213, sigma, x, radii),
                                         rel=1e-13)
+
+
+def test_point_mass_scan_rung_rows_match_prefix_sums():
+    """The rung rows are prefix sums of zw (W delta_y)^q with the closed-form
+    point-mass kernel, over more atoms than one block holds, with k = 0
+    rungs, repeated ends and (t_min = 0) a candidate on an atom."""
+    from wolffkit.embedding import _point_mass_scan
+    from wolffkit.wolff import _BLOCK_ENTRIES
+    rng = np.random.default_rng(4)
+    pr = validate_params(2.5, 0.75, 1.0, 3)
+    cands = np.vstack([rng.normal(size=(39, 3)), [[0.0, 0.0, 0.0]]])
+    n_atoms = 2 * (_BLOCK_ENTRIES // len(cands)) + 7  # three blocks
+    zpts = rng.normal(size=(n_atoms, 3))
+    zpts[1500] = cands[-1]
+    zw = rng.uniform(0.1, 1.0, n_atoms)
+    ends = [0, 0, 5, 1500, 1501, 1501, n_atoms - 3, n_atoms]
+    for t_min in (0.0, 0.05):
+        dist = np.linalg.norm(zpts[:, None, :] - cands[None, :, :], axis=2)
+        with np.errstate(divide="ignore"):
+            kern = (pr.p - 1.0) / pr.s * np.maximum(dist, t_min) ** (
+                -pr.s / (pr.p - 1.0))
+        prefix = np.vstack([np.zeros(len(cands)),
+                            np.cumsum(zw[:, None] * kern ** pr.q, axis=0)])
+        got = _point_mass_scan(pr, zpts, zw, cands, t_min, ends)
+        assert got.shape == (len(ends), len(cands))
+        np.testing.assert_allclose(got, prefix[ends], rtol=1e-12, atol=0.0)
+        assert np.all(got[:2] == 0.0)
+        assert np.isinf(got[4:, -1]).all() == (t_min == 0.0)
+        np.testing.assert_allclose(_point_mass_scan(pr, zpts, zw, cands, t_min),
+                                   prefix[-1:], rtol=1e-12, atol=0.0)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +120,70 @@ def test_ball_mass_array_matches_scalar_calls():
     assert isinstance(ball_mass(rad, x, 0.6), float)
     with pytest.raises(ValueError):
         ball_mass(rad, x, np.array([0.5, -0.1]))
+
+
+def _intersection_volume_reference(d, r1, r2, n):
+    """Scalar intersection volume by cases, caps from cap_volume."""
+    if r1 <= 0.0 or r2 <= 0.0 or d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        return ball_volume(min(r1, r2), n)
+    a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    a2 = (d * d - r1 * r1 + r2 * r2) / (2.0 * d)
+    return cap_volume(r1, a1, n) + cap_volume(r2, a2, n)
+
+
+def test_scalar_intersection_volume_bit_identical():
+    """Scalar calls, caps evaluated on lens entries only, equal the case
+    formula bit for bit: the geometry cases above and random ones with
+    d = 0, d = |r1 - r2|, d = r1 + r2 and r <= 0."""
+    cases = [(0.8, 1.0, 0.7, 3), (3.0, 1.0, 1.0, 3), (0.1, 2.0, 0.5, 4),
+             (0.0, 1.0, 1.0, 2), (1.0, 1.0, 1.0, 3), (0.5, 0.0, 1.0, 3),
+             (1.0, -1.0, 1.0, 3)]
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        r1, r2 = rng.uniform(-0.2, 2.0, 2)
+        d = rng.choice([0.0, abs(r1 - r2), r1 + r2, rng.uniform(0.0, 3.0)])
+        cases.append((float(d), float(r1), float(r2), int(rng.integers(1, 7))))
+    for d, r1, r2, n in cases:
+        got = intersection_volume(d, r1, r2, n)
+        assert isinstance(got, float)
+        assert got == _intersection_volume_reference(d, r1, r2, n), (d, r1, r2, n)
+
+
+def test_radial_ball_mass_matches_per_bin_loop():
+    """One cap pass over all bin edges equals the per-bin sum of
+    intersection differences: zero-density bins, x at the centre and on a
+    bin edge, radii past the support, and a scalar radius."""
+    rad = radial([0.0, 0.3, 0.7, 1.2, 1.5], [1.5, 0.0, 0.8, 0.0], 3)
+
+    def loop(x, t):
+        d = float(np.linalg.norm(x))
+        return sum(rho * (intersection_volume(d, t, hi, 3)
+                          - intersection_volume(d, t, lo, 3))
+                   for lo, hi, rho in zip(rad.bin_edges[:-1], rad.bin_edges[1:],
+                                          rad.densities))
+
+    ts = np.concatenate([[0.0], np.linspace(0.05, 2.5, 30), [10.0]])
+    for x in ([0.0, 0.0, 0.0], [0.0, 0.7, 0.0], [0.4, 0.3, 0.0]):
+        got = ball_mass(rad, x, ts)
+        assert got == pytest.approx([loop(x, t) for t in ts], rel=1e-14,
+                                    abs=1e-15)
+        assert got[-1] == pytest.approx(rad.total_mass, rel=1e-14)
+        scalar = ball_mass(rad, x, 0.6)
+        assert isinstance(scalar, float)
+        assert scalar == pytest.approx(loop(x, 0.6), rel=1e-14)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """scipy.special, most of the package's import time, loads on first use."""
+    import wolffkit
+    src = str(Path(wolffkit.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import wolffkit; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_scale_and_combine():

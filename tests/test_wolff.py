@@ -230,6 +230,21 @@ def test_p2_operator_at_coincident_points(pr213):
     assert grad[0, 1] == pytest.approx(1.0, rel=1e-15)
 
 
+def test_sorted_operator_at_coincident_atoms():
+    """Two atoms on the eval point with t_min = 0 (p != 2): inf, not the
+    nan of an inf - inf shell, when either weighs; finite when both weigh
+    nothing."""
+    pr = validate_params(2.5, 0.5, 1.0, 3)
+    pts = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    zero = QuadratureConfig(t_min_policy="zero")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in ([0.2, 0.3, 0.5], [0.0, 0.3, 0.5], [0.3, 0.0, 0.5]):
+            assert wolff_potential(pr, atomic(pts, w), np.zeros(3), zero) == math.inf
+        finite = wolff_potential(pr, atomic(pts, [0.0, 0.0, 0.5]), np.zeros(3), zero)
+    assert finite == pytest.approx(wolff_point_mass_value(pr, 1.0, 0.5), rel=1e-14)
+
+
 def test_p2_gradient_is_kernel(rng, pr213):
     """At p = 2 the Jacobian is the kernel K itself, also for atoms nearer
     to z than the first atom of positive weight (zero weights there), and
