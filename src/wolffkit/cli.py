@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -29,7 +30,7 @@ from .measure import (PointSet, load_measure, load_points, save_measure,
                       zero_measure)
 from .params import ParamError, auto_q, validate_params
 from .quadrature import QuadratureConfig, QuadratureWarning
-from .solver import apply_T, solve_monotone
+from .solver import DEFAULT_TOL, apply_T, solve_monotone
 from .verify import bound_field, verify_sandwich
 from .wolff import PotentialField, riesz_potential, wolff_field
 
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+KAPPA_COLUMNS = ["radius", "value", "direction", "method", "iterations"]
 
 
 def _parse_params(spec: str, preset: str | None):
@@ -57,9 +59,10 @@ def _apply_env_overrides(args) -> None:
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.rel_tol,
-                            panels_per_decade=args.panels_per_decade,
-                            t_min_policy=args.t_min_policy)
+    """The quadrature settings the subcommand offers; defaults for the rest."""
+    return QuadratureConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(QuadratureConfig)
+                               if hasattr(args, f.name)})
 
 
 def _header_lines(args, extra: dict | None = None) -> list[str]:
@@ -123,13 +126,12 @@ def cmd_kappa(args) -> int:
             for r, e in zip(prof.radii, prof.estimates)]
     hdr = _header_lines(args, {"saturation_radius": prof.saturation_radius,
                                "center": list(map(float, center))})
-    _write_csv(args.out, hdr, ["radius", "value", "direction", "method",
-                               "iterations"], rows)
+    _write_csv(args.out, hdr, KAPPA_COLUMNS, rows)
     return EXIT_OK
 
 
-def _read_csv(path: str) -> tuple[dict, list[dict]]:
-    """The '# config:' header and the records of a CSV from _write_csv."""
+def _read_csv(path: str, columns) -> tuple[dict, list[dict]]:
+    """The '# config:' header and the records of a _write_csv CSV."""
     meta: dict = {}
     rows = []
     with open(path) as f:
@@ -138,11 +140,15 @@ def _read_csv(path: str) -> tuple[dict, list[dict]]:
                 meta = json.loads(line.split(":", 1)[1])
             elif not line.startswith("#"):
                 rows.append(line.rstrip("\n"))
-    return meta, list(csv.DictReader(rows))
+    reader = csv.DictReader(rows)
+    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)} column")
+    return meta, list(reader)
 
 
 def _read_kappa_csv(path: str) -> KappaProfile:
-    meta, recs = _read_csv(path)
+    meta, recs = _read_csv(path, KAPPA_COLUMNS)
     radii = [float(rec["radius"]) for rec in recs]
     ests = [KappaEstimate(value=float(rec["value"]), direction=rec["direction"],
                           method=rec["method"], iterations=int(rec["iterations"]))
@@ -191,13 +197,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK if rep.status == "converged" else EXIT_NUMERICAL
 
 
-def _read_solve_csv(path: str, pr):
-    _, recs = _read_csv(path)
+def _read_solve_csv(path: str, pr) -> tuple[dict, PotentialField]:
+    """The config header of a solve file and its field u."""
+    meta, recs = _read_csv(path, ["u"])
     pts = [[float(v) for k, v in rec.items() if k.startswith("x")]
            for rec in recs]
     ps = PointSet(np.asarray(pts), tag="solve")
-    return PotentialField(params=pr, points=ps,
-                          values=[float(rec["u"]) for rec in recs])
+    return meta, PotentialField(params=pr, points=ps,
+                                values=[float(rec["u"]) for rec in recs])
 
 
 def cmd_verify(args) -> int:
@@ -205,7 +212,9 @@ def cmd_verify(args) -> int:
     sigma = load_measure(args.sigma)
     mu = load_measure(args.mu) if args.mu else zero_measure(sigma.dim)
     cfg = _quad_config(args)
-    u = _read_solve_csv(args.solve, pr)
+    meta, u = _read_solve_csv(args.solve, pr)
+    # the residual is judged against the tolerance the solve stopped on
+    tol = float(meta.get("tol", DEFAULT_TOL))
     # the --kappa file sets the ladder length of every point's profile
     n_ladder = len(_read_kappa_csv(args.kappa).radii)
     bound, term_rows = bound_field(pr, sigma, mu, u.points, n_ladder, cfg)
@@ -217,7 +226,8 @@ def cmd_verify(args) -> int:
     resid = float(np.max(np.abs(u.values - tu.values))
                   / max(float(np.max(u.values)), 1e-300))
     checks = {
-        "fixed_point_residual": {"value": resid, "pass": resid < 2 * args.tol},
+        "fixed_point_residual": {"value": resid, "tol": tol,
+                                 "pass": resid < 2 * tol},
         "sandwich_spread": {"c1_emp": br.c1_emp, "c2_emp": br.c2_emp,
                             "ratio": br.c2_emp / br.c1_emp,
                             "pass": br.c2_emp / br.c1_emp <= args.spread_threshold},
@@ -326,18 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Nonlinear potential toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, params=True, quadrature=True):
+    def common(sp, params=True, quad=("rel_tol", "panels_per_decade", "t_min_policy")):
+        """--params, --preset and a flag per QuadratureConfig field named."""
         if params:
             sp.add_argument("--params", required=True,
                             help="p,q,alpha,n (comma separated)")
             sp.add_argument("--preset", choices=["p-laplace", "hessian"])
-        if not quadrature:
-            return
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-8)
-        sp.add_argument("--panels-per-decade", dest="panels_per_decade",
-                        type=int, default=32)
-        sp.add_argument("--t-min-policy", dest="t_min_policy",
-                        choices=["zero", "cell"], default="cell")
+        for key in quad:
+            default = getattr(QuadratureConfig, key)
+            sp.add_argument("--" + key.replace("_", "-"), type=type(default),
+                            default=default,
+                            choices=("zero", "cell") if key == "t_min_policy" else None)
 
     sp = sub.add_parser("potential", help="Wolff potential field")
     common(sp)
@@ -355,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_riesz)
 
     sp = sub.add_parser("kappa", help="embedding-constant profile")
-    common(sp)
+    common(sp, quad=("t_min_policy",))  # closed form: truncation only
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--center", required=True, help="comma separated point")
     sp.add_argument("--radii", required=True, help="a:b:k geometric ladder")
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_kappa)
 
     sp = sub.add_parser("intrinsic", help="intrinsic potential from a kappa profile")
-    common(sp, quadrature=False)  # closed form: no quadrature settings
+    common(sp, quad=())  # closed form: no quadrature settings
     sp.add_argument("--kappa", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_intrinsic)
@@ -376,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu")
     sp.add_argument("--points")
     sp.add_argument("--u0", choices=["zero", "seeded"], default="zero")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--max-iter", dest="max_iter", type=int, default=500)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_solve)
@@ -387,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu")
     sp.add_argument("--solve", required=True)
     sp.add_argument("--kappa", required=True)
-    sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--spread-threshold", dest="spread_threshold",
                     type=float, default=100.0)
     sp.add_argument("--out", required=True)
@@ -399,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="e.g. 'p=2,2.5 q=auto alpha=1 n=3,5'")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--count", type=int, default=4)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--max-iter", dest="max_iter", type=int, default=300)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", required=True)

@@ -15,7 +15,7 @@ FAMILIES = ("radial_bump", "annulus", "separated_balls", "atomic_cloud")
 
 
 def make_measure(family: str, n: int, rng: np.random.Generator,
-                 atoms: int = 48) -> Measure:
+                 atoms: int) -> Measure:
     if family == "radial_bump":
         n_bins = int(rng.integers(4, 9))
         R = float(rng.uniform(0.5, 2.0))

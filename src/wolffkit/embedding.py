@@ -89,13 +89,13 @@ def _point_mass_ladder(pr: Params, sa: Measure, x, radii, candidates: np.ndarray
 
 
 def kappa_point_mass(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
-                     cfg: QuadratureConfig | None = None) -> KappaEstimate:
+                     cfg: QuadratureConfig = QuadratureConfig()) -> KappaEstimate:
     """Lower bound for kappa(B(x,t)) from the best single point mass on the
     grid, using the closed-form point-mass Wolff potential."""
     if t <= 0:
         raise ValueError("ball radius must be positive")
     return _point_mass_ladder(pr, as_atomic(sigma), x, [t], grid.points,
-                              [np.arange(len(grid))], cfg or QuadratureConfig())[0]
+                              [np.arange(len(grid))], cfg)[0]
 
 
 def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float,
@@ -128,7 +128,7 @@ def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float,
 
 def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
                          iters: int = 50, restarts: int = 3,
-                         cfg: QuadratureConfig | None = None) -> KappaEstimate:
+                         cfg: QuadratureConfig = QuadratureConfig()) -> KappaEstimate:
     """Conditional-gradient (Frank-Wolfe) ascent of
     F(nu) = (int_B (W nu)^q dsigma)^{1/q} over the probability simplex on the
     grid.  Linear oracle: best vertex of the directional derivative; step by
@@ -138,7 +138,6 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
     bound of the discrete problem.  A restart stops when the Frank-Wolfe gap
     falls to 1e-8 of F.
     """
-    cfg = cfg or QuadratureConfig()
     if iters < 1 or restarts < 1:
         raise ValueError("iters and restarts must be >= 1")
     q = pr.q
@@ -203,11 +202,10 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
 
 
 def kappa_profile(pr: Params, sigma: Measure, x, radii, method: str = "pointmass",
-                  cfg: QuadratureConfig | None = None,
+                  cfg: QuadratureConfig = QuadratureConfig(),
                   **ascent_kwargs) -> KappaProfile:
     """kappa(B(x,t)) on an increasing radius ladder, with running maxima
     enforcing monotonicity and the estimate frozen past saturation."""
-    cfg = cfg or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     radii = np.asarray(radii, dtype=float)
     if len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):

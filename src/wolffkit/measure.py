@@ -24,6 +24,8 @@ class PointSet:
     tag: str = ""
 
     def __post_init__(self):
+        if self.points is None:
+            raise ValueError("PointSet needs points")
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
         if pts.size == 0:
@@ -63,6 +65,12 @@ class Measure:
     cell_size: float | None = None
 
     def __post_init__(self):
+        need = dict(atomic=("points", "weights"), radial=("bin_edges", "densities", "n"))
+        if self.kind not in need:
+            raise ValueError(f"unknown measure kind {self.kind!r}")
+        missing = [k for k in need[self.kind] if getattr(self, k) is None]
+        if missing:
+            raise ValueError(f"{self.kind} measure needs {', '.join(missing)}")
         if self.kind == "atomic":
             pts = np.atleast_2d(np.asarray(self.points, dtype=float))
             w = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -86,12 +94,10 @@ class Measure:
                 raise ValueError("bin_edges must be strictly increasing from 0")
             if np.any(rho < 0):
                 raise ValueError("densities must be nonnegative")
-            if self.n is None or self.n < 1:
-                raise ValueError("radial measure needs a dimension n")
+            if int(self.n) < 1:
+                raise ValueError("radial measure needs a dimension n >= 1")
             object.__setattr__(self, "bin_edges", e)
             object.__setattr__(self, "densities", rho)
-        else:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
 
     # -- basic geometry ---------------------------------------------------
 
@@ -117,9 +123,6 @@ class Measure:
         if len(live) == 0:
             return 0.0
         return float(self.bin_edges[live[-1] + 1])
-
-    def is_zero(self) -> bool:
-        return self.total_mass == 0.0
 
 
 def zero_measure(n: int) -> Measure:
@@ -284,17 +287,16 @@ def to_dict(m: Measure) -> dict:
     return d
 
 
+def _json_object(d) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got a {type(d).__name__}")
+    return d
+
+
 def from_dict(d: dict) -> Measure:
-    kind = d.get("kind")
-    if kind == "atomic":
-        return Measure(kind="atomic", points=np.asarray(d["points"], dtype=float),
-                       weights=np.asarray(d["weights"], dtype=float),
-                       cell_size=d.get("cell_size"))
-    if kind == "radial":
-        return Measure(kind="radial", bin_edges=np.asarray(d["bin_edges"], dtype=float),
-                       densities=np.asarray(d["densities"], dtype=float),
-                       n=int(d["n"]), cell_size=d.get("cell_size"))
-    raise ValueError(f"unknown measure kind {kind!r}")
+    """The measure of a to_dict document; the constructor validates it."""
+    d = _json_object(d)
+    return Measure(**{f.name: d.get(f.name) for f in dataclasses.fields(Measure)})
 
 
 def save_measure(m: Measure, path) -> None:
@@ -314,5 +316,5 @@ def save_points(ps: PointSet, path) -> None:
 
 def load_points(path) -> PointSet:
     with open(path) as f:
-        d = json.load(f)
-    return PointSet(points=np.asarray(d["points"], dtype=float), tag=d.get("tag", ""))
+        d = _json_object(json.load(f))
+    return PointSet(points=d.get("points"), tag=d.get("tag", ""))

@@ -25,8 +25,11 @@ class Params:
     q: float
     alpha: float
     n: int
-    preset: str | None = None
-    no_nontrivial_solutions: bool = False
+
+    @property
+    def no_nontrivial_solutions(self) -> bool:
+        """alpha = 1 with n <= p: every finite-mass tail diverges."""
+        return self.alpha == 1.0 and self.n <= self.p
 
     @property
     def s(self) -> float:
@@ -60,15 +63,14 @@ def validate_params(
 
     Presets:
       "p-laplace": forces alpha = 1.  Requires p < n for solvability; with
-          n <= p the tuple is accepted but flagged no_nontrivial_solutions
-          (every finite-mass tail integral then diverges).
+          n <= p the tuple is accepted, and its no_nontrivial_solutions
+          property holds.
       "hessian": k-Hessian scale with k = p - 1; forces alpha = 2k/(k+1)
           and requires 0 < q < k.
 
     Raises ParamError naming every violated inequality.
     """
     violations: list[str] = []
-    flag = False
 
     if preset == "p-laplace":
         alpha = 1.0
@@ -87,18 +89,14 @@ def validate_params(
     if not 0.0 < q < p - 1.0:
         violations.append(f"0 < q < p-1 violated (q={q}, p-1={p - 1.0})")
 
-    if preset == "p-laplace" and n <= p:
-        # Flagged rather than rejected: the non-existence regime is a
-        # legitimate classifier input.
-        flag = True
-    elif not (0.0 < alpha < n / p if p > 1 else False):
+    # p-laplace with n <= p is accepted: a legitimate non-existence input
+    if not ((preset == "p-laplace" and n <= p) or (p > 1 and 0.0 < alpha < n / p)):
         violations.append(f"0 < alpha < n/p violated (alpha={alpha}, n/p={n / p})")
 
     if violations:
         raise ParamError("; ".join(violations))
 
-    return Params(p=float(p), q=float(q), alpha=float(alpha), n=int(n),
-                  preset=preset, no_nontrivial_solutions=flag)
+    return Params(p=float(p), q=float(q), alpha=float(alpha), n=int(n))
 
 
 def auto_q(p: float) -> float:

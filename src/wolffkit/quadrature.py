@@ -72,8 +72,8 @@ def log_panels(a: float, b: float, breakpoints, panels_per_decade: int) -> np.nd
                                      (edges[1:, None] - steps)[graded[1:]].ravel()]))
 
 
-def integrate_dt_over_t(g, a: float, b: float, breakpoints=(),
-                        cfg: QuadratureConfig | None = None) -> tuple[float, float]:
+def integrate_dt_over_t(g, a: float, b: float, breakpoints,
+                        cfg: QuadratureConfig) -> tuple[float, float]:
     """Integral of g(t) dt/t over [a, b] by composite Gauss panels in log t.
 
     g must accept a numpy array of radii.  Returns the 12-point value and
@@ -81,7 +81,6 @@ def integrate_dt_over_t(g, a: float, b: float, breakpoints=(),
     panels; the caller judges the estimate against the whole quantity the
     integral is part of.
     """
-    cfg = cfg or QuadratureConfig()
     if b <= a:
         return 0.0, 0.0
     edges = np.log(log_panels(a, b, breakpoints, cfg.panels_per_decade))

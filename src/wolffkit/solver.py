@@ -22,6 +22,7 @@ from .wolff import AtomicWolffOperator, PotentialField, wolff_field
 
 RESIDUAL_FLOOR = 1e-300
 DIVERGENCE_CEILING_FACTOR = 1e12
+DEFAULT_TOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,13 +73,13 @@ class SolveGeometry:
 
 
 def apply_T(pr: Params, sigma: Measure, mu: Measure, u: PotentialField,
-            cfg: QuadratureConfig | None = None) -> PotentialField:
+            cfg: QuadratureConfig = QuadratureConfig()) -> PotentialField:
     """u -> W(u^q dsigma) + W mu evaluated on u's point set.
 
     u's point set must contain every sigma atom (those values close the
     measure u^q dsigma); monotone in u.
     """
-    geo = SolveGeometry(pr, sigma, mu, u.points, cfg or QuadratureConfig())
+    geo = SolveGeometry(pr, sigma, mu, u.points, cfg)
     # position in u of each point of the coupled set (atoms first)
     perm = _match_rows(geo.all_points, u.points.points)
     if np.any(perm < 0):
@@ -90,8 +91,8 @@ def apply_T(pr: Params, sigma: Measure, mu: Measure, u: PotentialField,
 
 def solve_monotone(pr: Params, sigma: Measure, mu: Measure,
                    points: PointSet | None = None, u0_mode: str = "zero",
-                   tol: float = 1e-6, max_iter: int = 500,
-                   cfg: QuadratureConfig | None = None) -> SolveReport:
+                   tol: float = DEFAULT_TOL, max_iter: int = 500,
+                   cfg: QuadratureConfig = QuadratureConfig()) -> SolveReport:
     """Iterate u_{j+1} = T u_j to a fixed point of the sublinear equation.
 
     u0_mode "zero" starts from 0 (converges to W mu's branch; the trivial
@@ -101,7 +102,6 @@ def solve_monotone(pr: Params, sigma: Measure, mu: Measure,
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
-    cfg = cfg or QuadratureConfig()
     geo = SolveGeometry(pr, sigma, mu, points, cfg)
     m = len(geo.all_points)
 
@@ -152,11 +152,10 @@ def solve_monotone(pr: Params, sigma: Measure, mu: Measure,
 
 
 def classify_sub_super(pr: Params, sigma: Measure, mu: Measure,
-                       u: PotentialField, cfg: QuadratureConfig | None = None,
+                       u: PotentialField, cfg: QuadratureConfig = QuadratureConfig(),
                        tol: float = 1e-6) -> list[str]:
     """Pointwise classification of u against T u with tolerance band
     tol * (1 + |Tu|): "solution", "sub", "super", or "neither" (non-finite)."""
-    cfg = cfg or QuadratureConfig()
     tu = apply_T(pr, sigma, mu, u, cfg)
     out = []
     for uv, tv in zip(u.values, tu.values):

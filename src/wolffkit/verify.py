@@ -33,7 +33,7 @@ class BilateralReport:
     ratios: np.ndarray
     c1_emp: float
     c2_emp: float
-    flagged: list[int] = dataclasses.field(default_factory=list)
+    flagged: list[int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,14 +44,13 @@ class PhiReport:
 
 
 def phi_nu(pr: Params, sigma: Measure, nu: Measure, x,
-           cfg: QuadratureConfig | None = None) -> float:
+           cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """The comparison quantity
     W nu(x) * (W[(W nu)^q dsigma](x) / W nu(x))^{(p-1)/(p-1-q)}.
 
     Invariant under scaling of nu (the homogeneity powers cancel exactly).
     Rejects W nu(x) = 0 or +inf.
     """
-    cfg = cfg or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     wnu_x = wolff_potential(pr, nu, x, cfg)
     if wnu_x == 0.0:
@@ -83,11 +82,10 @@ def _wolff_of_wnu_q_dsigma(pr: Params, sigma: Measure, nu: Measure, x,
 
 
 def phi_sup(pr: Params, sigma: Measure, x, family: list[tuple[str, Measure]],
-            cfg: QuadratureConfig | None = None) -> tuple[float, str]:
+            cfg: QuadratureConfig = QuadratureConfig()) -> tuple[float, str]:
     """Pointwise sup of phi_nu over a tagged candidate family; returns
     (value, winning tag).  Candidates where phi_nu is undefined are skipped;
     if all are, the value is nan."""
-    cfg = cfg or QuadratureConfig()
     if not family:
         raise ValueError("candidate family must be non-empty")
     best, tag = -math.inf, "undefined"
@@ -143,7 +141,7 @@ def _uq_sigma_weights(pr: Params, sa: Measure, u: PotentialField) -> np.ndarray:
 
 def phi_sup_report(pr: Params, sigma: Measure, points: PointSet,
                    family: list[tuple[str, Measure]],
-                   cfg: QuadratureConfig | None = None) -> PhiReport:
+                   cfg: QuadratureConfig = QuadratureConfig()) -> PhiReport:
     vals, tags = [], []
     for x in points.points:
         v, t = phi_sup(pr, sigma, x, family, cfg)
@@ -154,13 +152,13 @@ def phi_sup_report(pr: Params, sigma: Measure, points: PointSet,
 
 
 def check_lemma_34(pr: Params, sigma: Measure, nu: Measure, x,
-                   Ksigma_value: float, cfg: QuadratureConfig | None = None) -> float:
+                   Ksigma_value: float,
+                   cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Ratio of W[(W nu)^q dsigma](x) to
     (W nu(x))^{q/(p-1)} [W sigma(x) + (K sigma(x))^{(p-1-q)/(p-1)}].
     The comparison lemma asserts this is bounded by a constant depending only
     on the exponent tuple; corpora of draws audit boundedness and stability.
     """
-    cfg = cfg or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     wnu = wolff_potential(pr, nu, x, cfg)
     wsig = wolff_potential(pr, sigma, x, cfg)
@@ -175,7 +173,7 @@ def check_lemma_34(pr: Params, sigma: Measure, nu: Measure, x,
     return num / denom
 
 
-def default_bound_ladder(sigma: Measure, x, n_ladder: int = 10) -> np.ndarray:
+def default_bound_ladder(sigma: Measure, x, n_ladder: int) -> np.ndarray:
     """Radius ladder for the kappa profile feeding the bilateral bound:
     n_ladder rungs from sat/30 to 1.2 sat, sat = |x| + support radius.
 
@@ -195,12 +193,12 @@ def default_bound_ladder(sigma: Measure, x, n_ladder: int = 10) -> np.ndarray:
 
 def bilateral_bound(pr: Params, sigma: Measure, mu: Measure, x,
                     profile: KappaProfile | None,
-                    cfg: QuadratureConfig | None = None) -> tuple[float, dict]:
+                    cfg: QuadratureConfig = QuadratureConfig()
+                    ) -> tuple[float, dict]:
     """R(x) = (W sigma(x))^gamma + K sigma(x) + W mu(x), with the three terms
     and W sigma(x) reported separately (the responsible term is identifiable
     when R = inf).  profile, the kappa profile about x, may be None when
     sigma has no mass."""
-    cfg = cfg or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     wsig = wolff_potential(pr, sigma, x, cfg)
     wterm = wsig ** pr.gamma if math.isfinite(wsig) else math.inf
@@ -212,13 +210,12 @@ def bilateral_bound(pr: Params, sigma: Measure, mu: Measure, x,
 
 
 def bound_field(pr: Params, sigma: Measure, mu: Measure, points: PointSet,
-                n_ladder: int, cfg: QuadratureConfig | None = None
+                n_ladder: int, cfg: QuadratureConfig = QuadratureConfig()
                 ) -> tuple[PotentialField, list[dict]]:
     """R over a point set: at each point a point-mass kappa profile on
     default_bound_ladder (none when sigma has no mass) feeds bilateral_bound.
     Each row holds that point's terms plus the profile's kappa_total and
     kappa_direction (None without a profile)."""
-    cfg = cfg or QuadratureConfig()
     vals, rows = [], []
     for x in points.points:
         prof = None
@@ -263,7 +260,7 @@ def existence_check(pr: Params, sigma_profile, mu_profile,
     """Existence classifier: conjunction of the three tail conditions (sigma
     Wolff tail, intrinsic tail, mu Wolff tail).  The alpha = 1 scale with
     n <= p has no nontrivial solutions regardless."""
-    if pr.no_nontrivial_solutions or (pr.alpha == 1.0 and pr.n <= pr.p):
+    if pr.no_nontrivial_solutions:
         return "not_exists"
     checks = [tail_exists(pr, sigma_profile)]
     if kappa_growth is not None:
@@ -282,7 +279,7 @@ class CapacityCheckResult:
     constant: float
     ratios: np.ndarray
     radii: np.ndarray
-    inequality_constant: float | None = None
+    inequality_constant: float | None
 
 
 def ball_capacity_check(pr: Params, sigma: Measure, radii,

@@ -147,9 +147,8 @@ def _layer_cake(m: Measure, x: np.ndarray, s: float, pm1: float, t_min: float,
 
 
 def wolff_potential(pr: Params, m: Measure, x,
-                    cfg: QuadratureConfig | None = None) -> float:
+                    cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Wolff potential of m at x, truncated below cfg's t_min for m."""
-    cfg = cfg or QuadratureConfig()
     x = np.asarray(x, dtype=float)
     t_min = cfg.resolve_t_min(m.cell_size)
     return float(_wolff_rows(pr, m, x[None, :], t_min, cfg)[0])
@@ -199,7 +198,7 @@ class AtomicWolffOperator:
     """
 
     def __init__(self, pr: Params, atom_points: np.ndarray, eval_points: np.ndarray,
-                 t_min: float = 0.0):
+                 t_min: float):
         self.pr = pr
         self.t_min = float(t_min)
         atom_points = np.atleast_2d(np.asarray(atom_points, dtype=float))
@@ -283,17 +282,16 @@ class AtomicWolffOperator:
 
 
 def wolff_field(pr: Params, m: Measure, points: PointSet,
-                cfg: QuadratureConfig | None = None) -> PotentialField:
+                cfg: QuadratureConfig = QuadratureConfig()) -> PotentialField:
     """Wolff potential evaluated over a point set, with the special cases
     of wolff_potential; an atomic m builds one operator per block of points."""
-    cfg = cfg or QuadratureConfig()
     t_min = cfg.resolve_t_min(m.cell_size)
     vals = _wolff_rows(pr, m, points.points, t_min, cfg)
     return PotentialField(params=pr, points=points, values=vals, t_min=t_min)
 
 
 def riesz_potential(beta: float, m: Measure, x,
-                    cfg: QuadratureConfig | None = None) -> float:
+                    cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Riesz potential of order beta: integral of |x-y|^{beta-n} dm(y)."""
     n = m.dim
     if not (0.0 < beta < n):
@@ -310,7 +308,7 @@ def riesz_potential(beta: float, m: Measure, x,
             vals = np.where(live, m.weights * d ** (beta - n), 0.0)
         return float(vals.sum())
     # layer-cake form: (n - beta) * int m(B(x,t)) t^{beta-n} dt/t
-    return (n - beta) * _layer_cake(m, x, n - beta, 1.0, 0.0, cfg or QuadratureConfig())
+    return (n - beta) * _layer_cake(m, x, n - beta, 1.0, 0.0, cfg)
 
 
 def tail_exists(pr: Params, profile: Measure | GrowthProfile) -> str:

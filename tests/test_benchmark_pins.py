@@ -1,8 +1,9 @@
-"""The benchmark's span tracer wraps wolffkit functions and methods by name.
+"""The benchmark's span tracer wraps wolffkit functions and methods by name,
+and its workloads call wolffkit's public signatures.
 
-A refactor that renames or removes one of them should fail here, not only
-in the benchmark run.  The tracer is loaded from its file and never
-modified.
+A refactor that renames or removes one of them, or narrows a signature the
+workloads call, should fail here, not only in the benchmark run.  The
+tracer and the workloads are loaded from their files and never modified.
 """
 
 import importlib.util
@@ -10,19 +11,25 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wolffkit.cli  # noqa: F401  (the tracer pins names in cli and corpus)
 import wolffkit.corpus  # noqa: F401
 from wolffkit import embedding, solver, validate_params, wolff
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def _bindings():
@@ -65,3 +72,14 @@ def test_operator_arrays_the_tracer_reads():
                                        atoms, evals, t_min=0.1)
         assert op.idx.shape == op.coef.shape == (5, 7)
         assert op.idx.dtype.kind == "i" and op.coef.dtype == np.float64
+
+
+@pytest.mark.parametrize("name", ["audit_radial", "solve_atomic",
+                                  "kappa_ascent", "sweep_cli"])
+def test_workload_runs_and_checks(name, tmp_path):
+    """One operation of each benchmark workload, through the benchmark's own
+    calls, passes the workload's own check."""
+    wl = _load("workloads").WORKLOADS[name](seed=0, out_dir=str(tmp_path))
+    wl.prepare()
+    inp = wl.make_input(0)
+    assert wl.check(inp, wl.run(inp)) is None

@@ -216,3 +216,71 @@ def test_intrinsic_takes_no_quadrature_flags(workdir):
     for flag in (["--rel-tol", "1e-6"], ["--panels-per-decade", "16"],
                  ["--t-min-policy", "zero"]):
         assert main(base + flag) == 2
+
+
+def test_kappa_takes_only_t_min_policy(workdir):
+    """Every kappa path is closed form: of the quadrature flags only
+    --t-min-policy is offered, and it alone reaches the header."""
+    out = workdir / "kap.csv"
+    base = ["kappa", "--params", "2,0.5,1,3", "--sigma", str(workdir / "sigma.json"),
+            "--center", "0,0,0", "--radii", "0.1:2:4", "--out", str(out)]
+    for method in ("pointmass", "ascent"):
+        assert main(base + ["--method", method]) == 0
+        header, rows = _read_csv(out)
+        cfg = json.loads(header[0].split(":", 1)[1])
+        assert not {"rel_tol", "panels_per_decade"} & set(cfg)
+        assert cfg["t_min_policy"] == "cell"
+        assert main(base + ["--method", method, "--t-min-policy", "zero"]) == 0
+        assert _read_csv(out)[1] != rows
+    for flag in (["--rel-tol", "1e-6"], ["--panels-per-decade", "16"]):
+        assert main(base + flag) == 2
+
+
+def test_verify_judges_residual_against_the_solve_tol(tmp_path):
+    """verify reads tol from the solve file's header and records it."""
+    pts = np.array([[0.5, 0.2, 0.0], [-0.4, 0.3, 0.1], [0.1, -0.6, 0.2]])
+    save_measure(atomic(pts, [0.5, 0.3, 0.2], cell_size=0.6),
+                 tmp_path / "sigma.json")
+    sol, kap, audit = (tmp_path / n for n in ("sol.csv", "kap.csv", "audit.json"))
+    sigma = str(tmp_path / "sigma.json")
+    assert main(["solve", "--params", "2,0.5,1,3", "--sigma", sigma,
+                 "--u0", "seeded", "--tol", "1e-3", "--out", str(sol)]) == 0
+    assert main(["kappa", "--params", "2,0.5,1,3", "--sigma", sigma,
+                 "--center", "0,0,0", "--radii", "0.1:2:4", "--out", str(kap)]) == 0
+    base = ["verify", "--params", "2,0.5,1,3", "--sigma", sigma,
+            "--solve", str(sol), "--kappa", str(kap), "--out", str(audit)]
+    assert main(base) == 0
+    check = json.loads(audit.read_text())["checks"]["fixed_point_residual"]
+    assert check["tol"] == 1e-3 and check["pass"]
+    assert check["value"] > 2e-6  # would fail against the default tol
+    assert main(base + ["--tol", "1e-3"]) == 2
+
+
+@pytest.mark.parametrize("flag, doc, named", [
+    ("--measure", {"kind": "atomic", "points": [[0.0, 0.0, 0.0]]}, "needs weights"),
+    ("--measure", {"kind": "radial", "bin_edges": [0.0, 1.0], "densities": [1.0]},
+     "needs n"),
+    ("--measure", [[0.0, 0.0, 0.0]], "JSON object"),
+    ("--points", {"tag": "x"}, "needs points"),
+])
+def test_malformed_input_file_is_usage_error(workdir, capsys, flag, doc, named):
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    files = {"--measure": "sigma.json", "--points": "pts.json", flag: "bad.json"}
+    argv = ["potential", "--params", "2,0.5,1,3", "--out", str(workdir / "x.csv")]
+    for k, name in files.items():
+        argv += [k, str(workdir / name)]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_csv_without_a_column_is_usage_error(workdir, capsys):
+    kap, sol = workdir / "kap.csv", workdir / "sol.csv"
+    kap.write_text("radius,value\n0.1,1.0\n2.0,2.0\n")
+    assert main(["intrinsic", "--params", "2,0.5,1,3", "--kappa", str(kap),
+                 "--out", str(workdir / "k.csv")]) == 2
+    assert "direction" in capsys.readouterr().err
+    sol.write_text("x0,x1,x2,residual\n0.0,0.0,0.0,0.0\n")
+    assert main(["verify", "--params", "2,0.5,1,3",
+                 "--sigma", str(workdir / "sigma.json"), "--solve", str(sol),
+                 "--kappa", str(kap), "--out", str(workdir / "a.json")]) == 2
+    assert "no u column" in capsys.readouterr().err

@@ -311,7 +311,7 @@ def test_point_set_rejects_duplicates_and_empty():
 
 def test_zero_measure():
     z = zero_measure(3)
-    assert z.is_zero()
+    assert z.total_mass == 0.0
     assert z.support_radius == 0.0
 
 

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wolffkit import ParamError, auto_q, validate_params, wolff_point_mass_value
+from wolffkit import (ParamError, Params, auto_q, validate_params,
+                      wolff_point_mass_value)
 
 
 def test_derived_exponents():
@@ -42,6 +44,15 @@ def test_p_laplace_preset_forces_alpha_and_flags_low_dimension():
     assert not pr.no_nontrivial_solutions
     low = validate_params(3.0, 1.0, 1.0, 3, preset="p-laplace")
     assert low.no_nontrivial_solutions  # n <= p: flagged, not rejected
+
+
+def test_params_is_the_tuple():
+    """A preset only chooses alpha: the result equals the plain tuple, and
+    the non-existence flag follows from alpha = 1, n <= p."""
+    assert validate_params(2, .5, .7, 3, preset="p-laplace") == \
+        validate_params(2, .5, 1, 3)
+    assert [f.name for f in dataclasses.fields(Params)] == ["p", "q", "alpha", "n"]
+    assert Params(3.0, 1.0, 1.0, 3).no_nontrivial_solutions
 
 
 def test_hessian_preset():
