@@ -149,6 +149,8 @@ def _read_csv(path: str, columns) -> tuple[dict, list[dict]]:
 
 def _read_kappa_csv(path: str) -> KappaProfile:
     meta, recs = _read_csv(path, KAPPA_COLUMNS)
+    if not recs:
+        raise ValueError(f"{path}: no kappa records")
     radii = [float(rec["radius"]) for rec in recs]
     ests = [KappaEstimate(value=float(rec["value"]), direction=rec["direction"],
                           method=rec["method"], iterations=int(rec["iterations"]))

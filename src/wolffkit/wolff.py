@@ -176,10 +176,23 @@ def _wolff_rows(pr: Params, m: Measure, pts: np.ndarray, t_min: float,
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i - b_j| for every row pair, one coordinate at a time: no
-    len(a) x len(b) x n temporary."""
-    return np.sqrt(sum((a[:, k, None] - b[None, :, k]) ** 2
-                       for k in range(a.shape[1])))
+    """|a_i - b_j| for every row pair, written in place block by block of
+    about _BLOCK_ENTRIES entries: one coordinate at a time through a
+    single block-sized scratch array, no len(a) x len(b) temporary."""
+    out = np.empty((len(a), len(b)))
+    step = max(1, _BLOCK_ENTRIES // max(1, len(b)))
+    scratch = np.empty((min(step, len(a)), len(b)))
+    for i in range(0, len(a), step):
+        rows, block = a[i:i + step], out[i:i + step]
+        np.subtract(rows[:, 0, None], b[None, :, 0], out=block)
+        block *= block
+        sq = scratch[:len(rows)]
+        for k in range(1, a.shape[1]):
+            np.subtract(rows[:, k, None], b[None, :, k], out=sq)
+            sq *= sq
+            block += sq
+        np.sqrt(block, out=block)
+    return out
 
 
 class AtomicWolffOperator:

@@ -284,3 +284,31 @@ def test_csv_without_a_column_is_usage_error(workdir, capsys):
                  "--sigma", str(workdir / "sigma.json"), "--solve", str(sol),
                  "--kappa", str(kap), "--out", str(workdir / "a.json")]) == 2
     assert "no u column" in capsys.readouterr().err
+
+
+def test_kappa_csv_without_records_is_usage_error(workdir, capsys):
+    """A kappa file with its header and column row but no records exits 2
+    and names the file, also when the header holds the saturation radius."""
+    kap = workdir / "kap.csv"
+    kap.write_text('# config: {"saturation_radius": 1.0}\n'
+                   "radius,value,direction,method,iterations\n")
+    assert main(["intrinsic", "--params", "2,0.5,1,3", "--kappa", str(kap),
+                 "--out", str(workdir / "k.csv")]) == 2
+    assert f"{kap}: no kappa records" in capsys.readouterr().err
+
+
+def test_seeded_solve_converges_at_any_scale(tmp_path):
+    """At rho = 0.95 on the README bump the seed constant is 2^-54 and the
+    solution reaches 5.5e17: the iterates grow by 10^12 and more, yet stay
+    bounded, so the solve converges instead of reporting divergence."""
+    assert main(["gen-corpus", "--seed", "7", "--n", "3", "--count", "4",
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--params", "2,0.95,1,3",
+                 "--sigma", str(tmp_path / "radial_bump_000.json"),
+                 "--u0", "seeded", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "u.csv.json").read_text())
+    assert side["status"] == "converged"
+    assert side["seed_constant"] == 2.0 ** -54
+    _, rows = _read_csv(out)
+    assert 1e17 < max(float(r["u"]) for r in rows) < 1e18

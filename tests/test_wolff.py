@@ -282,6 +282,21 @@ def test_wolff_field_vectorizes(rng, pr213, monkeypatch):
             assert np.all(np.isinf(f.values[-2:]))
 
 
+def test_distances_blocked_bit_equal_to_direct_formula(rng, monkeypatch):
+    """Distances written in row blocks equal the direct sum of squared
+    coordinate differences bit for bit, with the last block partial: 7 rows
+    in blocks of 3 (3 atoms per 10 entries), in 1, 2, 3 and 5 dimensions."""
+    monkeypatch.setattr(wolff, "_BLOCK_ENTRIES", 10)
+    for n in (1, 2, 3, 5):
+        a, b = rng.normal(size=(7, n)), rng.normal(size=(3, n))
+        direct = np.sqrt(sum((a[:, k, None] - b[None, :, k]) ** 2
+                             for k in range(n)))
+        got = wolff._distances(a, b)
+        assert got.shape == (7, 3)
+        assert np.array_equal(got, direct)
+    assert wolff._distances(np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)
+
+
 def test_tail_exists_classifier(pr213):
     m = atomic(np.ones((1, 3)), [1.0])
     assert tail_exists(pr213, m) == "finite"
