@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .embedding import (KappaEstimate, KappaProfile, default_candidate_grid,
                         kappa_point_mass, kappa_profile, kappa_simplex_ascent)
 from .geometry import ball_volume, cap_volume, intersection_volume
-from .intrinsic import (ExtrapolationWarning, intrinsic_potential,
-                        intrinsic_tail_finite)
+from .intrinsic import intrinsic_potential, intrinsic_tail_finite
 from .measure import (Measure, PointSet, as_atomic, atomic, ball_mass,
                       combine, load_measure, load_points, radial, restrict,
                       save_measure, save_points, scale, to_dict, zero_measure)
@@ -40,7 +39,7 @@ __all__ = [
     "riesz_potential", "tail_exists", "wolff_field", "wolff_potential",
     "KappaEstimate", "KappaProfile", "default_candidate_grid",
     "kappa_point_mass", "kappa_profile", "kappa_simplex_ascent",
-    "ExtrapolationWarning", "intrinsic_potential", "intrinsic_tail_finite",
+    "intrinsic_potential", "intrinsic_tail_finite",
     "SolveReport", "apply_T", "classify_sub_super", "solve_monotone",
     "BilateralReport", "CapacityCheckResult", "PhiReport",
     "ball_capacity_check", "bilateral_bound", "bound_field", "check_lemma_34",

@@ -157,8 +157,11 @@ def _read_kappa_csv(path: str) -> KappaProfile:
             for rec in recs]
     center = np.asarray(meta.get("center", [0.0]), dtype=float)
     sat = float(meta.get("saturation_radius", radii[-1]))
-    return KappaProfile(center=center, radii=np.asarray(radii),
-                        estimates=ests, saturation_radius=sat)
+    try:
+        return KappaProfile(center=center, radii=np.asarray(radii),
+                            estimates=ests, saturation_radius=sat)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def cmd_intrinsic(args) -> int:
@@ -217,9 +220,7 @@ def cmd_verify(args) -> int:
     meta, u = _read_solve_csv(args.solve, pr)
     # the residual is judged against the tolerance the solve stopped on
     tol = float(meta.get("tol", DEFAULT_TOL))
-    # the --kappa file sets the ladder length of every point's profile
-    n_ladder = len(_read_kappa_csv(args.kappa).radii)
-    bound, term_rows = bound_field(pr, sigma, mu, u.points, n_ladder, cfg)
+    bound, term_rows = bound_field(pr, sigma, mu, u.points, args.n_ladder, cfg)
     # verify_sandwich reads only .u of a solve report
     br = verify_sandwich(pr, sigma, mu, SimpleNamespace(u=u), bound)
     # one direction for all rows: every profile uses the same method
@@ -397,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--mu")
     sp.add_argument("--solve", required=True)
-    sp.add_argument("--kappa", required=True)
+    sp.add_argument("--n-ladder", dest="n_ladder", type=int, default=12,
+                    help="rungs of each point's kappa ladder")
     sp.add_argument("--spread-threshold", dest="spread_threshold",
                     type=float, default=100.0)
     sp.add_argument("--out", required=True)

@@ -30,14 +30,29 @@ class KappaEstimate:
     concave_regime: bool = False
 
 
+def _check_ladder(radii) -> np.ndarray:
+    """radii as floats, if finite, positive and strictly increasing."""
+    radii = np.asarray(radii, dtype=float)
+    if (len(radii) == 0 or not np.all(np.isfinite(radii)) or np.any(radii <= 0)
+            or np.any(np.diff(radii) <= 0)):
+        raise ValueError("radii must be positive and strictly increasing")
+    return radii
+
+
 @dataclasses.dataclass(frozen=True)
 class KappaProfile:
-    """kappa(B(x, t)) over an increasing radius ladder."""
+    """kappa(B(x, t)) over an increasing radius ladder: finite positive,
+    strictly increasing radii and nonnegative values (+inf allowed)."""
 
     center: np.ndarray
     radii: np.ndarray
     estimates: list[KappaEstimate]
     saturation_radius: float
+
+    def __post_init__(self):
+        _check_ladder(self.radii)
+        if not np.all(self.values >= 0):
+            raise ValueError("kappa values must be nonnegative")
 
     @property
     def values(self) -> np.ndarray:
@@ -207,9 +222,7 @@ def kappa_profile(pr: Params, sigma: Measure, x, radii, method: str = "pointmass
     """kappa(B(x,t)) on an increasing radius ladder, with running maxima
     enforcing monotonicity and the estimate frozen past saturation."""
     x = np.asarray(x, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be positive and strictly increasing")
+    radii = _check_ladder(radii)  # before the scan, not only at construction
     if method not in ("pointmass", "ascent"):
         raise ValueError(f"unknown method {method!r}")
     sat = float(np.linalg.norm(x)) + sigma.support_radius

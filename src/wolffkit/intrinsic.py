@@ -3,15 +3,16 @@
 K sigma(x) is the Wolff integral of kappa(B(x,t))^kexp, kexp = q(p-1)/(p-1-q):
 the dt/t integral of [kappa(B(x,t))^kexp / t^s]^{1/(p-1)}.  kappa is known on
 a finite radius ladder; between ladder nodes it is interpolated log-linearly,
-below the smallest radius it is extrapolated by a fitted power, and past the
-saturation radius it is constant.  Every piece is a power law, integrated in
-closed form by wolff._power_integral.
+past the saturation radius it is constant, and below the smallest radius it
+follows the scaling law of a density: if sigma has density c near x, dilation
+gives kappa(B(x,t)) = c^{1/q} kappa_1 t^{a*} with a* = n/q - s/(p-1).  Since
+a* kexp - s = alpha p (p-1)/(p-1-q) > 0 the head is always integrable.  Every
+piece is a power law, integrated in closed form by wolff._power_integral.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -20,18 +21,14 @@ from .params import Params
 from .wolff import GrowthProfile, _power_integral, tail_exists
 
 
-class ExtrapolationWarning(UserWarning):
-    """Emitted when the small-t exponent had to be clamped for integrability."""
-
-
 def intrinsic_potential(pr: Params, profile: KappaProfile) -> float:
     """K sigma at the profile's center, from its kappa radius ladder.
 
     Requires a saturated profile (largest radius at or past the saturation
-    radius) so the constant-kappa tail is exact.  The head extrapolation
-    exponent is fitted from the two smallest positive-kappa radii; if the
-    fitted power makes the head non-integrable it is clamped (with a
-    warning), and a flat fit (no decay toward 0) yields +inf.
+    radius) so the constant-kappa tail is exact.  Below the first radius, if
+    kappa is positive there, the head is kappa(r0) (t/r0)^{a*} with the
+    density scaling exponent a* = n/q - s/(p-1).  A profile holding an
+    infinite kappa (a genuine atom in the ball, untruncated) yields +inf.
     """
     radii = np.asarray(profile.radii, dtype=float)
     values = profile.values
@@ -45,38 +42,17 @@ def intrinsic_potential(pr: Params, profile: KappaProfile) -> float:
     if kappa_total == 0.0:
         return 0.0
     s, kexp = pr.s, pr.kexp
-    if s <= 0.0:
+    if s <= 0.0 or math.isinf(values.max()):
         return math.inf
 
     # (m0, r0, a, lo, hi): kappa^kexp = m0 (t/r0)^a on [lo, hi]
     pieces = []
-    i0 = int(np.nonzero(values > 0)[0][0])
-    if i0 == 0:
-        # head: power extrapolation below the first radius.  The slope is
-        # fitted to the first strictly larger node: a flat prefix of equal
-        # estimates is a resolution artifact of discrete surrogates (the
-        # smallest balls all see the same nearest atoms), not genuine
-        # non-decay.  If kappa vanished on smaller ladder radii (i0 > 0)
-        # there is no head.
+    if values[0] > 0.0:
+        # head: the density scaling law below the first radius, matched
+        # there; a ladder whose first rung holds no mass has no head
+        a_star = pr.n / pr.q - s / (pr.p - 1.0)
         r0, k0 = float(radii[0]), float(values[0])
-        grow = np.nonzero(values > k0)[0]
-        a = 0.0
-        if len(grow):
-            i1 = int(grow[0])
-            a = math.log(float(values[i1]) / k0) / math.log(float(radii[i1]) / r0)
-        if a <= 0.0:
-            # no decay toward 0: the head integral diverges
-            return math.inf
-        if a * kexp < 1.5 * s:
-            # clamp with a margin: exponents just above the integrability
-            # threshold s/kexp put 1/(a kexp - s) on a pole and make the
-            # head wildly sensitive to the ladder resolution
-            a_clamped = 1.5 * s / kexp
-            warnings.warn(
-                f"small-t kappa exponent {a:.3g} clamped to {a_clamped:.3g} "
-                f"for integrability", ExtrapolationWarning)
-            a = a_clamped
-        pieces.append((k0 ** kexp, r0, a * kexp, 0.0, r0))
+        pieces.append((k0 ** kexp, r0, a_star * kexp, 0.0, r0))
 
     # log-linear (power-law) segments between ladder nodes; a segment where
     # kappa turns on is constant at its right end

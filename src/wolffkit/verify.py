@@ -178,8 +178,8 @@ def default_bound_ladder(sigma: Measure, x, n_ladder: int) -> np.ndarray:
     n_ladder rungs from sat/30 to 1.2 sat, sat = |x| + support radius.
 
     Starts no lower than the measure's cell scale: below it kappa reflects
-    only the truncated point-mass floor of the discrete surrogate, and power
-    extrapolation of that plateau corrupts the intrinsic head.
+    only the truncated point-mass floor of the discrete surrogate, not the
+    density scaling law the intrinsic head continues from the first rung.
     """
     sat = float(np.linalg.norm(np.asarray(x, dtype=float))) + sigma.support_radius
     if sat <= 0.0:

@@ -66,7 +66,7 @@ def test_solve_verify_sigma_zero_ratios_one(workdir):
     assert main(["verify", "--params", "2,0.5,1,3",
                  "--sigma", str(workdir / "zero.json"),
                  "--mu", str(workdir / "mu.json"), "--solve", str(sol),
-                 "--kappa", str(kap), "--out", str(audit)]) == 0
+                 "--n-ladder", "5", "--out", str(audit)]) == 0
     rec = json.loads(audit.read_text())
     assert rec["ratios"] == pytest.approx([1.0] * len(rec["ratios"]))
     assert all(c["pass"] for c in rec["checks"].values())
@@ -167,21 +167,16 @@ def test_env_var_overrides_tolerance(workdir, monkeypatch):
 
 def test_verify_reports_direction_of_profiles_used(tmp_path):
     """verify bounds every point with point-mass kappa profiles, which are
-    lower bounds, whatever method made the --kappa file."""
+    lower bounds; it reads no kappa file, only the ladder length."""
     pts = np.array([[0.5, 0.2, 0.0], [-0.4, 0.3, 0.1], [0.1, -0.6, 0.2]])
     save_measure(atomic(pts, [0.5, 0.3, 0.2], cell_size=0.3),
                  tmp_path / "sigma.json")
-    sol, kap, audit = (tmp_path / n for n in ("sol.csv", "kap.csv", "audit.json"))
+    sol, audit = tmp_path / "sol.csv", tmp_path / "audit.json"
     sigma = str(tmp_path / "sigma.json")
     assert main(["solve", "--params", "2,0.5,1,3", "--sigma", sigma,
                  "--u0", "seeded", "--out", str(sol)]) == 0
-    assert main(["kappa", "--params", "2,0.5,1,3", "--sigma", sigma,
-                 "--center", "0,0,0", "--radii", "0.1:2:4", "--method", "ascent",
-                 "--out", str(kap)]) == 0
-    _, rows = _read_csv(kap)
-    assert {r["direction"] for r in rows} == {"best_estimate"}
     assert main(["verify", "--params", "2,0.5,1,3", "--sigma", sigma,
-                 "--solve", str(sol), "--kappa", str(kap),
+                 "--solve", str(sol), "--n-ladder", "4",
                  "--out", str(audit)]) in (0, 1)
     assert json.loads(audit.read_text())["kappa_direction"] == "lower_bound"
 
@@ -241,14 +236,12 @@ def test_verify_judges_residual_against_the_solve_tol(tmp_path):
     pts = np.array([[0.5, 0.2, 0.0], [-0.4, 0.3, 0.1], [0.1, -0.6, 0.2]])
     save_measure(atomic(pts, [0.5, 0.3, 0.2], cell_size=0.6),
                  tmp_path / "sigma.json")
-    sol, kap, audit = (tmp_path / n for n in ("sol.csv", "kap.csv", "audit.json"))
+    sol, audit = tmp_path / "sol.csv", tmp_path / "audit.json"
     sigma = str(tmp_path / "sigma.json")
     assert main(["solve", "--params", "2,0.5,1,3", "--sigma", sigma,
                  "--u0", "seeded", "--tol", "1e-3", "--out", str(sol)]) == 0
-    assert main(["kappa", "--params", "2,0.5,1,3", "--sigma", sigma,
-                 "--center", "0,0,0", "--radii", "0.1:2:4", "--out", str(kap)]) == 0
     base = ["verify", "--params", "2,0.5,1,3", "--sigma", sigma,
-            "--solve", str(sol), "--kappa", str(kap), "--out", str(audit)]
+            "--solve", str(sol), "--n-ladder", "4", "--out", str(audit)]
     assert main(base) == 0
     check = json.loads(audit.read_text())["checks"]["fixed_point_residual"]
     assert check["tol"] == 1e-3 and check["pass"]
@@ -282,7 +275,7 @@ def test_csv_without_a_column_is_usage_error(workdir, capsys):
     sol.write_text("x0,x1,x2,residual\n0.0,0.0,0.0,0.0\n")
     assert main(["verify", "--params", "2,0.5,1,3",
                  "--sigma", str(workdir / "sigma.json"), "--solve", str(sol),
-                 "--kappa", str(kap), "--out", str(workdir / "a.json")]) == 2
+                 "--out", str(workdir / "a.json")]) == 2
     assert "no u column" in capsys.readouterr().err
 
 
@@ -295,6 +288,30 @@ def test_kappa_csv_without_records_is_usage_error(workdir, capsys):
     assert main(["intrinsic", "--params", "2,0.5,1,3", "--kappa", str(kap),
                  "--out", str(workdir / "k.csv")]) == 2
     assert f"{kap}: no kappa records" in capsys.readouterr().err
+
+
+def test_malformed_kappa_ladder_is_usage_error(tmp_path, capsys):
+    """The README kappa.csv with a record repeated (a zero-width segment) or
+    two records swapped (a ladder out of order) exits 2 and names the file,
+    instead of a ZeroDivisionError or a silently wrong K."""
+    assert main(["gen-corpus", "--seed", "7", "--n", "3", "--count", "4",
+                 "--out", str(tmp_path)]) == 0
+    kap = tmp_path / "kappa.csv"
+    assert main(["kappa", "--params", "2,0.5,1,3",
+                 "--sigma", str(tmp_path / "radial_bump_000.json"),
+                 "--center", "0,0,0", "--radii", "0.05:5:12",
+                 "--out", str(kap)]) == 0
+    lines = kap.read_text().splitlines(keepends=True)
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("0.9369087114301918,"))
+    assert lines[i + 1].startswith("1.4240179342179007,")
+    bad = tmp_path / "bad.csv"
+    for edited in (lines[:i + 1] + lines[i:],
+                   lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]):
+        bad.write_text("".join(edited))
+        assert main(["intrinsic", "--params", "2,0.5,1,3", "--kappa", str(bad),
+                     "--out", str(tmp_path / "k.csv")]) == 2
+        assert f"{bad}: radii must be positive and strictly increasing" \
+            in capsys.readouterr().err
 
 
 def test_seeded_solve_converges_at_any_scale(tmp_path):

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from wolffkit import (ExtrapolationWarning, GrowthProfile, KappaEstimate,
-                      KappaProfile, intrinsic_potential, intrinsic_tail_finite,
-                      kappa_profile, radial, scale, validate_params)
+from wolffkit import (GrowthProfile, KappaEstimate, KappaProfile, atomic,
+                      intrinsic_potential, intrinsic_tail_finite, kappa_profile,
+                      radial, scale, validate_params)
 from wolffkit.wolff import _power_integral
 
 
@@ -56,18 +57,22 @@ def test_power_integral_open_ends():
     assert got == pytest.approx([2.0, 2.5], rel=1e-15)
 
 
-def test_power_law_profile_closed_form():
-    """kappa(t) = t^a on a dense ladder with a long constant tail reproduces
-    the analytic integral."""
-    pr = validate_params(2.0, 0.5, 1.0, 3)  # s=1, kexp=1, p-1=1
-    a = 2.0
-    radii = np.geomspace(1e-3, 1.0, 200)
-    vals = radii ** a
-    prof = _profile(radii, vals, sat=1.0)
-    got = intrinsic_potential(pr, prof)
-    # integral of t^{a kexp - s - 1} dt from 0 to 1 plus tail kappa_tot/s
-    want = 1.0 / (a * pr.kexp - pr.s) + 1.0
-    assert got == pytest.approx(want, rel=1e-12)
+@pytest.mark.parametrize("tup", [(2.0, 0.5, 1.0, 3), (3.0, 1.0, 1.0, 5),
+                                 (2.5, 0.75, 0.8, 3)])
+def test_density_scaling_head_closed_form(tup):
+    """kappa(t) = c (t/T)^{a*}, a* = n/q - s/(p-1), up to T and c past it
+    (the profile of a density-like sigma): the head below the first rung
+    continues the same law, so K is c^{kexp delta} T^{-s delta} (1/e +
+    1/(s delta)), head and ladder up to T plus tail, e = (a* kexp - s) delta."""
+    pr = validate_params(*tup)
+    c, T = 1.7, 0.9
+    a_star = pr.n / pr.q - pr.s / (pr.p - 1.0)
+    radii = np.sort(np.append(np.geomspace(0.05, 2.0, 9), T))
+    prof = _profile(radii, c * np.minimum(radii / T, 1.0) ** a_star, sat=2.0)
+    d = pr.delta
+    e = (a_star * pr.kexp - pr.s) * d
+    want = c ** (pr.kexp * d) * T ** (-pr.s * d) * (1.0 / e + 1.0 / (pr.s * d))
+    assert intrinsic_potential(pr, prof) == pytest.approx(want, rel=1e-12)
 
 
 def test_scaling_law_exact():
@@ -114,21 +119,44 @@ def test_zero_and_degenerate_profiles(pr213):
         intrinsic_potential(pr213, _profile([0.5, 1.0], [1.0, 1.0], sat=2.0))
 
 
-def test_flat_head_is_infinite(pr213):
-    """kappa constant all the way to t = 0 makes the head diverge."""
-    prof = _profile([0.01, 0.1, 1.0], [2.0, 2.0, 2.0])
-    assert intrinsic_potential(pr213, prof) == math.inf
+def test_flat_head_is_finite(pr213):
+    """kappa = k on a whole ladder from r0: the head below r0 still decays
+    by the density law, k^{kexp delta} r0^{-s delta} (p-1-q)/(alpha p), and
+    the flat ladder and tail add k^{kexp delta} r0^{-s delta}/(s delta)."""
+    pr, k, r0 = pr213, 2.0, 0.01
+    prof = _profile([r0, 0.1, 1.0], [k, k, k])
+    head = (pr.p - 1 - pr.q) / (pr.alpha * pr.p)
+    want = k ** (pr.kexp * pr.delta) * r0 ** (-pr.s * pr.delta) * (
+        head + 1.0 / (pr.s * pr.delta))
+    assert intrinsic_potential(pr, prof) == pytest.approx(want, rel=1e-12)
 
 
-def test_slow_head_clamped_with_warning(pr213):
-    """A fitted head exponent below the integrability threshold is clamped
-    and flagged."""
-    radii = np.array([0.1, 0.2, 1.0])
-    vals = radii ** 0.3  # a * kexp = 0.3 < s = 1
-    prof = _profile(radii, vals)
-    with pytest.warns(ExtrapolationWarning, match="clamped"):
-        val = intrinsic_potential(pr213, prof)
-    assert math.isfinite(val) and val > 0
+def test_atom_at_center_is_infinite(pr213):
+    """A genuinely atomic sigma (no cell size, t_min = 0) with x on an atom:
+    the point mass there has kappa = +inf on every rung, and K = +inf
+    without nan or a floating-point warning."""
+    sigma = atomic([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.7, 0.0]],
+                   [1.0, 2.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = kappa_profile(pr213, sigma, np.zeros(3), np.geomspace(0.1, 1.2, 5))
+        assert np.all(prof.values == math.inf)
+        assert intrinsic_potential(pr213, prof) == math.inf
+
+
+@pytest.mark.parametrize("radii, values", [
+    ([0.1, 0.1, 1.0], [1.0, 1.0, 2.0]),
+    ([0.1, 0.5, 0.3], [1.0, 2.0, 1.5]),
+    ([0.0, 0.5, 1.0], [1.0, 2.0, 2.0]),
+    ([0.1, 0.5, math.inf], [1.0, 2.0, 2.0]),
+    ([0.1, 0.5, 1.0], [1.0, -2.0, 2.0]),
+    ([0.1, 0.5, 1.0], [1.0, math.nan, 2.0]),
+])
+def test_malformed_profile_rejected(radii, values):
+    """Repeated, unsorted, nonpositive or non-finite radii and negative or
+    nan values are refused when the profile is built."""
+    with pytest.raises(ValueError, match="radii|nonnegative"):
+        _profile(radii, values)
 
 
 def test_tail_classifier(pr213):
@@ -148,11 +176,8 @@ def test_tail_classifier_cross_checks_numeric(pr213):
         radii = np.geomspace(0.5, tmax, 120)
         return intrinsic_potential(pr213, _profile(radii, radii ** a, sat=0.5))
 
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        fin = [K_on_ladder(a_fin, t) for t in (1e2, 1e4)]
-        inf_ = [K_on_ladder(a_inf, t) for t in (1e2, 1e4)]
+    fin = [K_on_ladder(a_fin, t) for t in (1e2, 1e4)]
+    inf_ = [K_on_ladder(a_inf, t) for t in (1e2, 1e4)]
     assert fin[1] / fin[0] < 1.1  # converging
     # diverging like (tmax)^{a kexp - s}: ratio (1e4/1e2)^{0.4} ~ 6.3
     assert inf_[1] / inf_[0] > 5.0
