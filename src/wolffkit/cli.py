@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_potential)
 
     sp = sub.add_parser("riesz", help="Riesz potential field")
-    common(sp, params=False)
+    common(sp, params=False, quad=("rel_tol", "panels_per_decade"))  # no truncation
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--measure", required=True)
     sp.add_argument("--points", required=True)

@@ -5,7 +5,7 @@ The true constant is a supremum over all nonnegative measures nu; we optimize
 over probability vectors supported on a finite candidate grid, so every
 reported value carries direction metadata: point-mass scans are always lower
 bounds, the conditional-gradient ascent is the best estimate found (a certified
-discrete maximum in the concave regime p >= 2).
+discrete maximum in the concave regime p >= 2, q <= 1).
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def _check_ladder(radii) -> np.ndarray:
             or np.any(np.diff(radii) <= 0)):
         raise ValueError("radii must be positive and strictly increasing")
     return radii
+
+
+def _concave_regime(pr: Params) -> bool:
+    """F(nu) = (int (W nu)^q dsigma)^{1/q} is concave on the simplex: W nu is
+    concave in nu for p >= 2, and the power mean (sum w v^q)^{1/q} is
+    concave and nondecreasing in v for q <= 1."""
+    return pr.p >= 2.0 and pr.q <= 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,7 +106,7 @@ def _point_mass_ladder(pr: Params, sa: Measure, x, radii, candidates: np.ndarray
     sums = _point_mass_scan(pr, sa.points[ball], sa.weights[ball], candidates,
                             cfg.resolve_t_min(sa.cell_size), ks)
     return [KappaEstimate(float(row[c].max()) ** (1.0 / pr.q), "lower_bound",
-                          "point_mass", len(c) if k else 0, pr.p >= 2.0)
+                          "point_mass", len(c) if k else 0, _concave_regime(pr))
             for row, k, c in zip(sums, ks, columns)]
 
 
@@ -107,8 +114,7 @@ def kappa_point_mass(pr: Params, sigma: Measure, x, t: float, grid: PointSet,
                      cfg: QuadratureConfig = QuadratureConfig()) -> KappaEstimate:
     """Lower bound for kappa(B(x,t)) from the best single point mass on the
     grid, using the closed-form point-mass Wolff potential."""
-    if t <= 0:
-        raise ValueError("ball radius must be positive")
+    _check_ladder([t])
     return _point_mass_ladder(pr, as_atomic(sigma), x, [t], grid.points,
                               [np.arange(len(grid))], cfg)[0]
 
@@ -147,21 +153,22 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
     """Conditional-gradient (Frank-Wolfe) ascent of
     F(nu) = (int_B (W nu)^q dsigma)^{1/q} over the probability simplex on the
     grid.  Linear oracle: best vertex of the directional derivative; step by
-    backtracking line search on F itself.  For p >= 2 the objective is
-    concave, so the best value is the global discrete maximum up to
-    line-search tolerance; for p < 2 multi-restart keeps it an honest lower
-    bound of the discrete problem.  A restart stops when the Frank-Wolfe gap
-    falls to 1e-8 of F.
+    backtracking line search on F itself.  For p >= 2 and q <= 1 the
+    objective is concave (_concave_regime), so the best value is the global
+    discrete maximum up to line-search tolerance; otherwise multi-restart
+    keeps it an honest lower bound of the discrete problem.  A restart stops
+    when the Frank-Wolfe gap falls to 1e-8 of F.
     """
     if iters < 1 or restarts < 1:
         raise ValueError("iters and restarts must be >= 1")
-    q = pr.q
+    _check_ladder([t])
+    q, concave = pr.q, _concave_regime(pr)
     sb = restrict(as_atomic(sigma), x, t)
     live = sb.weights > 0  # in sigma's order, so the sums below keep theirs
     zpts, zw = sb.points[live], sb.weights[live]
     K = len(grid)
     if len(zw) == 0:
-        return KappaEstimate(0.0, "best_estimate", "simplex_ascent", 0, pr.p >= 2.0)
+        return KappaEstimate(0.0, "best_estimate", "simplex_ascent", 0, concave)
     t_min = cfg.resolve_t_min(sb.cell_size)
     op = AtomicWolffOperator(pr, grid.points, zpts, t_min=t_min)
 
@@ -213,7 +220,7 @@ def kappa_simplex_ascent(pr: Params, sigma: Measure, x, t: float, grid: PointSet
                 break
         best_val = max(best_val, fv)
     return KappaEstimate(best_val, "best_estimate", "simplex_ascent",
-                         total_iters, pr.p >= 2.0)
+                         total_iters, concave)
 
 
 def kappa_profile(pr: Params, sigma: Measure, x, radii, method: str = "pointmass",

@@ -143,7 +143,7 @@ def ball_mass(m: Measure, x, t):
     """Exact mass of the closed ball B(x, t), elementwise over an array of
     radii t (a float for a scalar t)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise ValueError(f"ball radius must be nonnegative, got {t.min()}")
     x = np.asarray(x, dtype=float)
     if m.kind == "atomic":
@@ -200,7 +200,7 @@ def restrict(m: Measure, x, t: float) -> Measure:
     to an atomic quadrature representation first, then restrict; the cell
     size of the conversion is recorded on the result.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"restriction radius must be positive, got {t}")
     x = np.asarray(x, dtype=float)
     if m.kind == "atomic":
@@ -236,38 +236,26 @@ def as_atomic(m: Measure, shells_per_bin: int = 4, directions_per_shell: int = 3
     if m.kind == "atomic":
         return m
     n = m.dim
-    rng = np.random.default_rng(seed)
-    half = max(1, directions_per_shell // 2)
-
-    def draw_dirs():
-        # fresh antithetic pairs per radial node: odd angular moments vanish
-        # exactly and the per-shell sampling errors decorrelate
-        g = rng.standard_normal((half, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return np.vstack([g, -g])
-
-    xg, wg = np.polynomial.legendre.leggauss(shells_per_bin)
-    v1 = ball_volume(1.0, n)
-    pts, wts = [], []
-    h = 0.0
-    for j, rho in enumerate(m.densities):
-        if rho == 0.0:
-            continue
-        lo, hi = m.bin_edges[j], m.bin_edges[j + 1]
-        vlo, vhi = ball_volume(lo, n), ball_volume(hi, n)
-        vmid = 0.5 * (vlo + vhi) + 0.5 * (vhi - vlo) * xg
-        vw = 0.5 * (vhi - vlo) * wg
-        rnode = (vmid / v1) ** (1.0 / n)
-        h = max(h, float(np.max(np.diff(np.concatenate([[lo], rnode, [hi]])))))
-        for rk, mass in zip(rnode, rho * vw):
-            if mass == 0.0:
-                continue
-            dirs = draw_dirs()
-            pts.append(dirs * rk)
-            wts.append(np.full(len(dirs), mass / len(dirs)))
-    if not pts:
+    # scalar volumes: numpy's array power can differ from r**n by an ulp
+    vol = np.array([ball_volume(e, n) for e in m.bin_edges])
+    live = m.densities * np.diff(vol) > 0  # bins whose nodes carry mass
+    if not live.any():
         return zero_measure(n)
-    return Measure(kind="atomic", points=np.vstack(pts), weights=np.concatenate(wts),
+    half = max(1, directions_per_shell // 2)
+    vlo, vhi = vol[:-1][live, None], vol[1:][live, None]
+    xg, wg = np.polynomial.legendre.leggauss(shells_per_bin)
+    vmid = 0.5 * (vlo + vhi) + 0.5 * (vhi - vlo) * xg  # bins x shells
+    rnode = (vmid / ball_volume(1.0, n)) ** (1.0 / n)
+    mass = m.densities[live, None] * (0.5 * (vhi - vlo) * wg)
+    radii = np.column_stack([m.bin_edges[:-1][live], rnode, m.bin_edges[1:][live]])
+    h = float(np.diff(radii).max())
+    # fresh antithetic pairs per radial node: odd angular moments vanish
+    # exactly and the per-shell sampling errors decorrelate
+    g = np.random.default_rng(seed).standard_normal((rnode.size, half, n))
+    g /= np.linalg.norm(g, axis=2, keepdims=True)
+    dirs = np.concatenate([g, -g], axis=1)
+    return Measure(kind="atomic", points=(dirs * rnode.reshape(-1, 1, 1)).reshape(-1, n),
+                   weights=np.repeat(mass.reshape(-1) / (2 * half), 2 * half),
                    cell_size=h if m.cell_size is None else max(h, m.cell_size))
 
 

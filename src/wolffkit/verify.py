@@ -20,8 +20,8 @@ from .measure import (Measure, PointSet, _match_rows, as_atomic, atomic,
 from .params import Params
 from .quadrature import QuadratureConfig
 from .solver import SolveReport
-from .wolff import (AtomicWolffOperator, GrowthProfile, PotentialField,
-                    _wolff_rows, tail_exists, wolff_potential)
+from .wolff import (GrowthProfile, PotentialField, _wolff_rows, tail_exists,
+                    wolff_potential)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,13 +72,14 @@ def _wolff_of_wnu_q_dsigma(pr: Params, sigma: Measure, nu: Measure, x,
         return 0.0
     wnu_at_atoms = _wolff_rows(pr, nu, sa.points,
                                cfg.resolve_t_min(nu.cell_size), cfg)
-    if np.any(~np.isfinite(wnu_at_atoms) & (sa.weights > 0)):
+    live = sa.weights > 0
+    if np.any(~np.isfinite(wnu_at_atoms) & live):
         return math.inf
-    weights = wnu_at_atoms ** pr.q * sa.weights
-    t_min_s = cfg.resolve_t_min(sa.cell_size)
-    op = AtomicWolffOperator(pr, sa.points, np.asarray(x, dtype=float)[None, :],
-                             t_min=t_min_s)
-    return float(op.apply(weights)[0])
+    # an atom of zero weight adds 0, also where W nu is +inf on it
+    weights = np.zeros_like(sa.weights)
+    weights[live] = wnu_at_atoms[live] ** pr.q * sa.weights[live]
+    return wolff_potential(pr, atomic(sa.points, weights, cell_size=sa.cell_size),
+                           x, cfg)
 
 
 def phi_sup(pr: Params, sigma: Measure, x, family: list[tuple[str, Measure]],

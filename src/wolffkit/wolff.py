@@ -71,15 +71,11 @@ def _support_distance(m: Measure, x: np.ndarray) -> float:
             return math.inf
         return float(np.min(np.linalg.norm(m.points[live] - x, axis=1)))
     r = float(np.linalg.norm(x))
-    best = math.inf
-    for j, rho in enumerate(m.densities):
-        if rho == 0.0:
-            continue
-        lo, hi = m.bin_edges[j], m.bin_edges[j + 1]
-        if lo <= r <= hi:
-            return 0.0
-        best = min(best, abs(r - lo), abs(r - hi))
-    return best
+    live = m.densities > 0
+    lo, hi = m.bin_edges[:-1][live], m.bin_edges[1:][live]
+    if np.any((lo <= r) & (r <= hi)):
+        return 0.0
+    return float(np.abs(r - np.concatenate([lo, hi])).min(initial=math.inf))
 
 
 def _power_integral(m0, r0, a, lo, hi, s: float, pm1: float):

@@ -231,6 +231,22 @@ def test_kappa_takes_only_t_min_policy(workdir):
         assert main(base + flag) == 2
 
 
+def test_riesz_takes_no_t_min_policy(workdir):
+    """riesz_potential never truncates: of the quadrature flags riesz offers
+    --rel-tol and --panels-per-decade, and no t_min_policy reaches the
+    header."""
+    out = workdir / "riesz.csv"
+    base = ["riesz", "--beta", "2", "--measure", str(workdir / "sigma.json"),
+            "--points", str(workdir / "pts.json"), "--out", str(out)]
+    assert main(base) == 0
+    header, rows = _read_csv(out)
+    cfg = json.loads(header[0].split(":", 1)[1])
+    assert "t_min_policy" not in cfg
+    assert cfg["rel_tol"] == 1e-8 and cfg["panels_per_decade"] == 32
+    assert main(base + ["--panels-per-decade", "48"]) == 0
+    assert main(base + ["--t-min-policy", "zero"]) == 2
+
+
 def test_verify_judges_residual_against_the_solve_tol(tmp_path):
     """verify reads tol from the solve file's header and records it."""
     pts = np.array([[0.5, 0.2, 0.0], [-0.4, 0.3, 0.1], [0.1, -0.6, 0.2]])

@@ -5,8 +5,9 @@ import pytest
 
 from wolffkit import (AtomicWolffOperator, PointSet, QuadratureConfig,
                       as_atomic, atomic, default_candidate_grid,
-                      kappa_point_mass, kappa_profile, kappa_simplex_ascent,
-                      radial, restrict, scale, validate_params, zero_measure)
+                      ball_mass, kappa_point_mass, kappa_profile,
+                      kappa_simplex_ascent, radial, restrict, scale,
+                      validate_params, zero_measure)
 from conftest import random_atomic, random_params
 
 UNIT_BALL_KAPPA = (8.0 * math.pi / 5.0) ** 2
@@ -125,6 +126,37 @@ def test_profile_rejects_bad_radii(pr213, unit_ball_sigma):
     with pytest.raises(ValueError):
         kappa_point_mass(pr213, unit_ball_sigma, np.zeros(3), 0.0,
                          PointSet(np.zeros((1, 3))))
+
+
+@pytest.mark.parametrize("call", [
+    lambda pr, s, g, t: kappa_point_mass(pr, s, np.zeros(3), t, g),
+    lambda pr, s, g, t: kappa_simplex_ascent(pr, s, np.zeros(3), t, g),
+    lambda pr, s, g, t: restrict(s, np.zeros(3), t),
+    lambda pr, s, g, t: ball_mass(s, np.zeros(3), t),
+    lambda pr, s, g, t: ball_mass(s, np.zeros(3), [0.5, t]),
+], ids=["point_mass", "ascent", "restrict", "ball_mass", "ball_mass_array"])
+def test_nan_radius_rejected(pr213, call):
+    """A nan radius is no ball: every one-ball function refuses it."""
+    sigma = atomic([[0.2, 0.0, 0.0], [0.0, 0.7, 0.0]], [0.4, 0.6], cell_size=0.1)
+    grid = default_candidate_grid(sigma, np.zeros(3), 1.0)
+    with pytest.raises(ValueError):
+        call(pr213, sigma, grid, math.nan)
+
+
+@pytest.mark.parametrize("tup,concave", [
+    ((2.0, 0.5, 1.0, 3), True), ((2.5, 0.75, 1.0, 3), True),
+    ((3.0, 1.5, 1.0, 5), False), ((1.6, 0.3, 1.0, 3), False)])
+def test_concave_regime_needs_p_at_least_2_and_q_at_most_1(tup, concave):
+    """W nu is concave in nu for p >= 2; the power mean over sigma keeps
+    that only for q <= 1."""
+    pr = validate_params(*tup)
+    sigma = atomic(np.eye(tup[3])[:2] * 0.5, [0.5, 0.5], cell_size=0.1)
+    x = np.zeros(tup[3])
+    grid = default_candidate_grid(sigma, x, 1.0)
+    ests = [kappa_point_mass(pr, sigma, x, 1.0, grid),
+            kappa_simplex_ascent(pr, sigma, x, 1.0, grid, iters=2),
+            kappa_simplex_ascent(pr, sigma, x, 0.1, grid)]  # empty ball
+    assert [e.concave_regime for e in ests] == [concave] * 3
 
 
 def test_profile_direction_metadata(pr213, unit_ball_sigma):

@@ -312,6 +312,78 @@ def test_as_atomic_preserves_mass_and_records_cell():
     assert np.array_equal(a.weights, b.weights)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("edges,dens", [
+    (np.linspace(0.0, 1.5, 6), np.exp(-np.linspace(0.15, 1.35, 5) ** 2)),  # bump
+    ([0.0, 0.4, 1.1], [0.0, 1.3]),  # annulus: a zero-density bin
+])
+@pytest.mark.parametrize("shells,dirs", [(4, 32), (3, 7)])
+def test_as_atomic_surrogate_structure(edges, dens, n, shells, dirs):
+    """Each live bin gets `shells` Gauss nodes; each node an antithetic block
+    of 2 floor(dirs/2) atoms on one sphere with equal weights; the node
+    masses add up to the bin masses."""
+    m = radial(edges, dens, n)
+    a = as_atomic(m, shells_per_bin=shells, directions_per_shell=dirs)
+    live = np.asarray(dens) > 0
+    block = 2 * (dirs // 2)
+    nodes = int(live.sum()) * shells
+    assert a.points.shape == (nodes * block, n)
+    pts = a.points.reshape(nodes, block, n)
+    w = a.weights.reshape(nodes, block)
+    r = np.linalg.norm(pts, axis=2)
+    assert np.allclose(r, r[:, :1], rtol=0.0, atol=1e-15)
+    assert np.all(w == w[:, :1])
+    half = block // 2
+    assert np.all(pts[:, :half] + pts[:, half:] == 0.0)
+    inner = np.asarray(edges)[:-1][~live]
+    outer = np.asarray(edges)[1:][~live]
+    assert not np.any((r[..., None] >= inner) & (r[..., None] < outer))
+    assert w.sum() == pytest.approx(m.total_mass, rel=1e-13)
+
+
+def _as_atomic_loop(m, shells_per_bin=4, directions_per_shell=32, seed=0):
+    """The per-bin, per-node surrogate loop as_atomic's array pass replaced."""
+    n, rng = m.dim, np.random.default_rng(seed)
+    half = max(1, directions_per_shell // 2)
+    xg, wg = np.polynomial.legendre.leggauss(shells_per_bin)
+    pts, wts, h = [], [], 0.0
+    for j, rho in enumerate(m.densities):
+        if rho == 0.0:
+            continue
+        lo, hi = m.bin_edges[j], m.bin_edges[j + 1]
+        vlo, vhi = ball_volume(lo, n), ball_volume(hi, n)
+        vmid = 0.5 * (vlo + vhi) + 0.5 * (vhi - vlo) * xg
+        rnode = (vmid / ball_volume(1.0, n)) ** (1.0 / n)
+        h = max(h, float(np.max(np.diff(np.concatenate([[lo], rnode, [hi]])))))
+        for rk, mass in zip(rnode, rho * (0.5 * (vhi - vlo) * wg)):
+            if mass == 0.0:
+                continue
+            g = rng.standard_normal((half, n))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            pts.append(np.vstack([g, -g]) * rk)
+            wts.append(np.full(2 * half, mass / (2 * half)))
+    return np.vstack(pts), np.concatenate(wts), h
+
+
+@pytest.mark.parametrize("args", [(), (2, 8, 3), (3, 7, 11), (1, 1, 0), (5, 33, 2)])
+def test_as_atomic_matches_per_node_loop(args):
+    """The array pass draws the generator in the loop's order and repeats
+    its arithmetic: points, weights and cell size are bit for bit equal,
+    also past a bin whose volume underflows to 0 (no atoms, no draws)."""
+    rng = np.random.default_rng(5)
+    cases = [radial([0.0, 1e-100, 1.0], [1.0, 1.0], 4)]
+    for n in range(1, 7):
+        edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.6, 6))])
+        dens = rng.uniform(0.1, 2.0, 6) * (rng.uniform(size=6) > 0.3)
+        dens[0] = 1.0
+        cases.append(radial(edges, dens, n))
+    for m in cases:
+        a = as_atomic(m, *args)
+        pts, wts, h = _as_atomic_loop(m, *args)
+        assert np.array_equal(a.points, pts) and np.array_equal(a.weights, wts)
+        assert a.cell_size == h
+
+
 def test_as_atomic_ball_mass_converges():
     m = radial([0.0, 1.0], [1.0], 3)
     x = np.array([0.4, 0.0, 0.0])

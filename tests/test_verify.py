@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import sympy
 
-from wolffkit import (GrowthProfile, Params, PointSet, ball_capacity_check,
-                      bilateral_bound, bound_field, check_lemma_34,
-                      default_bound_ladder, default_phi_family,
+from wolffkit import (GrowthProfile, Params, PointSet, QuadratureConfig,
+                      ball_capacity_check, bilateral_bound, bound_field,
+                      check_lemma_34, default_bound_ladder, default_phi_family,
                       existence_check, intrinsic_potential, kappa_profile,
                       phi_nu, phi_sup, phi_sup_report, radial, scale,
                       solve_monotone, validate_params, verify_sandwich,
@@ -110,6 +110,24 @@ def test_lemma_34_rejects_degenerate(pr213, rng):
     nu = random_atomic(rng, n=3, k=3)
     with pytest.raises(ValueError, match="finite"):
         check_lemma_34(pr213, sigma, nu, np.zeros(3), math.inf)
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 0.5), (2.5, 0.75)])
+def test_zero_weight_sigma_atom_under_nu_atom(p, q):
+    """With t_min = 0, W nu is +inf on a sigma atom that sits on an atom of
+    nu; a zero weight there adds nothing (no inf * 0 = nan), so phi_nu and
+    the lemma audit equal those of sigma without that atom."""
+    pr = validate_params(p, q, 1.0, 3)
+    cfg = QuadratureConfig(t_min_policy="zero")
+    sigma = atomic([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0.5, 0.0, 0.5])
+    bare = atomic([[1, 0, 0], [0, 0, 1]], [0.5, 0.5])
+    nu = atomic([[0, 1, 0], [2, 2, 2]], [1.0, 1.0])
+    x = (0.3, 0.2, 0.1)
+    for s in (sigma, bare):
+        assert math.isfinite(phi_nu(pr, s, nu, x, cfg))
+    assert phi_nu(pr, sigma, nu, x, cfg) == phi_nu(pr, bare, nu, x, cfg)
+    assert (check_lemma_34(pr, sigma, nu, x, 1.0, cfg)
+            == check_lemma_34(pr, bare, nu, x, 1.0, cfg))
 
 
 # -- sandwich --------------------------------------------------------------
