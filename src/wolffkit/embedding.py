@@ -18,7 +18,7 @@ import numpy as np
 from .measure import Measure, PointSet, as_atomic, restrict
 from .params import Params
 from .quadrature import QuadratureConfig
-from .wolff import _BLOCK_ENTRIES, AtomicWolffOperator
+from .wolff import _BLOCK_ENTRIES, AtomicWolffOperator, _sq_distances
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,10 +135,7 @@ def _point_mass_scan(pr: Params, zpts, zw, candidates, t_min: float,
     row = np.zeros(len(candidates))
     cuts = np.union1d(np.arange(0, ends.max(initial=0), step), ends)
     for i, j in zip(cuts[:-1], cuts[1:]):
-        blk = zpts[i:j]
-        d2 = (blk[:, 0, None] - candidates[None, :, 0]) ** 2
-        for k in range(1, blk.shape[1]):
-            d2 += (blk[:, k, None] - candidates[None, :, k]) ** 2
+        d2 = _sq_distances(zpts[i:j], candidates)
         np.maximum(d2, t_min * t_min, out=d2)
         with np.errstate(divide="ignore"):
             d2 **= power

@@ -36,8 +36,10 @@ class QuadratureConfig:
     t_min_policy: str = "cell"  # "zero" | "cell"
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        # a nan or inf rel_tol would silence every QuadratureWarning
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got "
+                             f"{self.rel_tol}")
         if self.panels_per_decade < 4:
             raise ValueError("panels_per_decade must be >= 4")
         if self.t_min_policy not in ("zero", "cell"):

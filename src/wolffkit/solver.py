@@ -99,8 +99,9 @@ def solve_monotone(pr: Params, sigma: Measure, mu: Measure,
     halved until T u0 >= u0 pointwise, which produces the nontrivial branch
     for mu = 0.  Convergence: sup |u_{j+1} - u_j| / sup u_{j+1} < tol.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("need tol > 0 and max_iter >= 1")
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ValueError(f"need finite tol > 0 and max_iter >= 1, got "
+                         f"{tol}, {max_iter}")
     geo = SolveGeometry(pr, sigma, mu, points, cfg)
     m = len(geo.all_points)
 
@@ -157,15 +158,8 @@ def classify_sub_super(pr: Params, sigma: Measure, mu: Measure,
                        tol: float = 1e-6) -> list[str]:
     """Pointwise classification of u against T u with tolerance band
     tol * (1 + |Tu|): "solution", "sub", "super", or "neither" (non-finite)."""
-    tu = apply_T(pr, sigma, mu, u, cfg)
-    out = []
-    for uv, tv in zip(u.values, tu.values):
-        if not (np.isfinite(uv) and np.isfinite(tv)):
-            out.append("neither")
-        elif abs(uv - tv) <= tol * (1.0 + abs(tv)):
-            out.append("solution")
-        elif uv <= tv:
-            out.append("sub")
-        else:
-            out.append("super")
-    return out
+    uv, tv = u.values, apply_T(pr, sigma, mu, u, cfg).values
+    with np.errstate(invalid="ignore"):  # inf - inf, masked by "neither"
+        close = np.abs(uv - tv) <= tol * (1.0 + np.abs(tv))
+    return np.select([~(np.isfinite(uv) & np.isfinite(tv)), close, uv <= tv],
+                     ["neither", "solution", "sub"], "super").tolist()

@@ -301,6 +301,8 @@ def ball_capacity_check(pr: Params, sigma: Measure, radii,
     if pr.p >= pr.n:
         raise ValueError("capacity check requires p < n")
     radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError("capacity check radii must be positive and finite")
     origin = np.zeros(sigma.dim)
     probe = np.unique(np.concatenate(
         [radii, radii.min() / 2 ** np.arange(1, 8)]))

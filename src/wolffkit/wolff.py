@@ -171,8 +171,8 @@ def _wolff_rows(pr: Params, m: Measure, pts: np.ndarray, t_min: float,
     return out
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i - b_j| for every row pair, written in place block by block of
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 for every row pair, written in place block by block of
     about _BLOCK_ENTRIES entries: one coordinate at a time through a
     single block-sized scratch array, no len(a) x len(b) temporary."""
     out = np.empty((len(a), len(b)))
@@ -187,7 +187,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.subtract(rows[:, k, None], b[None, :, k], out=sq)
             sq *= sq
             block += sq
-        np.sqrt(block, out=block)
     return out
 
 
@@ -215,7 +214,8 @@ class AtomicWolffOperator:
         s, delta = pr.s, pr.delta
         if s <= 0.0:
             raise ValueError("AtomicWolffOperator requires s > 0")
-        D = _distances(eval_points, atom_points)
+        D = _sq_distances(eval_points, atom_points)
+        np.sqrt(D, out=D)
         self.linear = delta == 1.0
         if self.linear:
             K = np.maximum(D, self.t_min, out=D)  # in place: one E x A array
@@ -301,23 +301,17 @@ def wolff_field(pr: Params, m: Measure, points: PointSet,
 
 def riesz_potential(beta: float, m: Measure, x,
                     cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Riesz potential of order beta: integral of |x-y|^{beta-n} dm(y)."""
+    """Riesz potential of order beta: integral of |x-y|^{beta-n} dm(y),
+    never truncated.  It is (n - beta) W_{beta/2,2} m(x): at p = 2 the
+    Wolff integrand is m(B(x,t)) t^{-s}, s = n - beta, and its dt/t
+    integral is the Riesz potential over s."""
     n = m.dim
     if not (0.0 < beta < n):
         raise ValueError(f"Riesz order must satisfy 0 < beta < n, got {beta}")
     x = np.asarray(x, dtype=float)
-    if m.total_mass == 0.0:
-        return 0.0
-    if m.kind == "atomic":
-        d = np.linalg.norm(m.points - x, axis=1)
-        live = m.weights > 0
-        if np.any(live & (d == 0.0)):
-            return math.inf
-        with np.errstate(divide="ignore"):
-            vals = np.where(live, m.weights * d ** (beta - n), 0.0)
-        return float(vals.sum())
-    # layer-cake form: (n - beta) * int m(B(x,t)) t^{beta-n} dt/t
-    return (n - beta) * _layer_cake(m, x, n - beta, 1.0, 0.0, cfg)
+    # the Wolff potential reads no q: 0.5 only fills the tuple
+    pr = Params(2.0, 0.5, beta / 2.0, n)
+    return (n - beta) * float(_wolff_rows(pr, m, x[None], 0.0, cfg)[0])
 
 
 def tail_exists(pr: Params, profile: Measure | GrowthProfile) -> str:

@@ -7,6 +7,7 @@ tracer and the workloads are loaded from their files and never modified.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -48,6 +49,9 @@ def test_tracer_pins_resolve_and_uninstall_restores():
     for cls, attr, _ in tr.METHOD_SPANS:
         assert callable(cls.__dict__[attr]), (cls, attr)
     assert callable(embedding._point_mass_scan)
+    # _scan_hook reads zpts and candidates by position
+    scan_args = list(inspect.signature(embedding._point_mass_scan).parameters)
+    assert scan_args[1] == "zpts" and scan_args[3] == "candidates"
     assert callable(solver.SolveGeometry.__dict__["apply"])
 
     before = _bindings()

@@ -165,6 +165,22 @@ def test_env_var_overrides_tolerance(workdir, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerances_exit_usage(workdir, monkeypatch, value):
+    """A nan or inf --rel-tol, WOLFFKIT_REL_TOL or solve --tol is refused
+    with exit 2: it would silence every quadrature diagnostic, or run the
+    solve to max_iter and exit 3."""
+    pot = ["potential", "--params", "2,0.5,1,3",
+           "--measure", str(workdir / "sigma.json"),
+           "--points", str(workdir / "pts.json"), "--out", str(workdir / "x.csv")]
+    assert main(pot + ["--rel-tol", value]) == 2
+    assert main(["solve", "--params", "2,0.5,1,3",
+                 "--sigma", str(workdir / "sigma.json"), "--tol", value,
+                 "--out", str(workdir / "u.csv")]) == 2
+    monkeypatch.setenv("WOLFFKIT_REL_TOL", value)
+    assert main(pot) == 2
+
+
 def test_verify_reports_direction_of_profiles_used(tmp_path):
     """verify bounds every point with point-mass kappa profiles, which are
     lower bounds; it reads no kappa file, only the ladder length."""

@@ -268,3 +268,46 @@ def test_point_mass_scan_rung_rows_match_prefix_sums():
         assert np.isinf(got[4:, -1]).all() == (t_min == 0.0)
         np.testing.assert_allclose(_point_mass_scan(pr, zpts, zw, cands, t_min),
                                    prefix[-1:], rtol=1e-12, atol=0.0)
+
+
+def _inline_scan(pr, zpts, zw, candidates, t_min, ends, step):
+    """The point-mass scan with its own inline squared-distance loop, as it
+    was written before it shared wolff._sq_distances: the reference."""
+    ends = np.asarray(ends, dtype=int)
+    power = -0.5 * pr.s * pr.delta * pr.q
+    out = np.zeros((len(ends), len(candidates)))
+    row = np.zeros(len(candidates))
+    cuts = np.union1d(np.arange(0, ends.max(initial=0), step), ends)
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        blk = zpts[i:j]
+        d2 = (blk[:, 0, None] - candidates[None, :, 0]) ** 2
+        for k in range(1, blk.shape[1]):
+            d2 += (blk[:, k, None] - candidates[None, :, k]) ** 2
+        np.maximum(d2, t_min * t_min, out=d2)
+        with np.errstate(divide="ignore"):
+            d2 **= power
+        row += zw[i:j] @ d2
+        out[ends == j] = row
+    return ((pr.p - 1.0) / pr.s) ** pr.q * out
+
+
+def test_point_mass_scan_bit_equal_to_inline_distance_loop(monkeypatch):
+    """Built on the shared blocked distance routine, the scan's rung rows
+    equal the inline loop's bit for bit: scan blocks of 5 atoms, each built
+    in distance blocks of 3 rows, t_min = 0 with an atom on a candidate."""
+    from wolffkit import embedding, wolff
+    monkeypatch.setattr(embedding, "_BLOCK_ENTRIES", 200)
+    monkeypatch.setattr(wolff, "_BLOCK_ENTRIES", 120)
+    rng = np.random.default_rng(9)
+    cands = rng.normal(size=(40, 3))
+    zpts = rng.normal(size=(23, 3))
+    zpts[11] = cands[7]
+    zw = rng.uniform(0.1, 1.0, 23)
+    ends = [0, 4, 11, 12, 12, 23]
+    for tup in ((2.0, 0.5, 1.0, 3), (2.5, 0.75, 1.0, 3), (3.0, 1.0, 0.75, 3)):
+        pr = validate_params(*tup)
+        for t_min in (0.0, 0.05):
+            got = embedding._point_mass_scan(pr, zpts, zw, cands, t_min, ends)
+            assert np.array_equal(got, _inline_scan(pr, zpts, zw, cands, t_min,
+                                                    ends, 5))
+            assert np.isinf(got[3:, 7]).all() == (t_min == 0.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,9 @@ def test_classify_sub_super(pr213, sigma3, mu3):
 def test_bad_arguments(pr213, sigma3):
     with pytest.raises(ValueError):
         solve_monotone(pr213, sigma3, zero_measure(3), tol=0.0)
+    for tol in (math.nan, math.inf):  # nan would run to max_iter
+        with pytest.raises(ValueError, match="tol"):
+            solve_monotone(pr213, sigma3, zero_measure(3), tol=tol)
     with pytest.raises(ValueError):
         solve_monotone(pr213, sigma3, zero_measure(3), max_iter=0)
     with pytest.raises(ValueError):

@@ -285,6 +285,11 @@ def test_capacity_check_guards():
     low = Params(p=3.0, q=1.0, alpha=1.0, n=3)
     with pytest.raises(ValueError, match="p < n"):
         ball_capacity_check(low, zero_measure(3), [0.5, 1.0])
+    # a zero radius divided 0 by 0, and nanmax hid the nan
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="radii"):
+            ball_capacity_check(validate_params(2.0, 0.5, 1.0, 5),
+                                radial([0.0, 1.0], [1.0], 5), [bad, 1.0])
 
 
 def test_capacity_inequality_constant(pr213_5d=None):

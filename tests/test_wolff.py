@@ -89,6 +89,14 @@ def test_quadrature_error_judged_against_whole_potential():
     assert got == pytest.approx(0.4079739438764164, rel=1e-9)
 
 
+def test_quadrature_config_rejects_non_finite_rel_tol():
+    """err > rel_tol * total is never true for a nan or inf rel_tol, which
+    would silence every QuadratureWarning."""
+    for bad in (math.nan, math.inf, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureConfig(rel_tol=bad)
+
+
 def test_homogeneity_exact(rng):
     for _ in range(6):
         pr = random_params(rng)
@@ -158,6 +166,46 @@ def test_riesz_radial_matches_atomic_sum():
     # Newtonian exterior value: I_2 m(x) = M/|x| for radial m, n = 3
     assert layer == pytest.approx(m.total_mass / 2.5, rel=1e-8)
     assert direct == pytest.approx(layer, rel=2e-2)
+
+
+def test_riesz_atomic_is_the_kernel_sum(rng):
+    """On an atomic measure the p = 2 Wolff operator gives the direct sum
+    of w |x - y|^{beta - n}, up to the roundings of / s * s and the sum
+    order."""
+    for n, beta in ((3, 2.0), (3, 0.5), (2, 1.3), (5, 4.0)):
+        m = random_atomic(rng, n=n, k=12)
+        for x in rng.normal(size=(4, n)):
+            direct = float(np.sum(m.weights * np.linalg.norm(m.points - x, axis=1)
+                                  ** (beta - n)))
+            assert riesz_potential(beta, m, x) == pytest.approx(direct, rel=1e-15,
+                                                                abs=0.0)
+
+
+def test_riesz_atom_at_x():
+    """An atom at x: of zero weight it adds nothing and raises no warning
+    (it once computed 0 * inf); of positive weight it makes the value inf."""
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    x = np.zeros(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = riesz_potential(2.0, atomic(pts, [0.0, 0.5, 0.25]), x)
+    assert val == pytest.approx(0.5 / 1.0 + 0.25 / 2.0, rel=1e-15)
+    assert riesz_potential(2.0, atomic(pts, [0.1, 0.5, 0.25]), x) == math.inf
+
+
+def test_riesz_radial_is_the_layer_cake_bit_for_bit():
+    """Radial Riesz is (n - beta) times the layer cake at pm1 = 1, never
+    truncated: the p = 2 Wolff route changes no bit."""
+    cfg = QuadratureConfig()
+    for m in (radial([0.0, 1.0], [1.0], 3),
+              radial([0.0, 0.2, 0.5, 1.5], [0.0, 2.0, 0.5], 3),
+              radial([0.0, 0.7, 1.0], [1.0, 3.0], 2)):
+        n = m.dim
+        for beta in (0.5, 1.0, n - 0.25):
+            for x in ([0.0] * n, [0.3] + [0.0] * (n - 1), [1.0] * n):
+                x = np.array(x)
+                want = (n - beta) * wolff._layer_cake(m, x, n - beta, 1.0, 0.0, cfg)
+                assert riesz_potential(beta, m, x, cfg) == want
 
 
 def test_riesz_rejects_bad_order():
@@ -282,19 +330,19 @@ def test_wolff_field_vectorizes(rng, pr213, monkeypatch):
             assert np.all(np.isinf(f.values[-2:]))
 
 
-def test_distances_blocked_bit_equal_to_direct_formula(rng, monkeypatch):
-    """Distances written in row blocks equal the direct sum of squared
-    coordinate differences bit for bit, with the last block partial: 7 rows
-    in blocks of 3 (3 atoms per 10 entries), in 1, 2, 3 and 5 dimensions."""
+def test_sq_distances_blocked_bit_equal_to_direct_formula(rng, monkeypatch):
+    """Squared distances written in row blocks equal the direct sum of
+    squared coordinate differences bit for bit, with the last block partial:
+    7 rows in blocks of 3 (3 atoms per 10 entries), in 1, 2, 3 and 5
+    dimensions."""
     monkeypatch.setattr(wolff, "_BLOCK_ENTRIES", 10)
     for n in (1, 2, 3, 5):
         a, b = rng.normal(size=(7, n)), rng.normal(size=(3, n))
-        direct = np.sqrt(sum((a[:, k, None] - b[None, :, k]) ** 2
-                             for k in range(n)))
-        got = wolff._distances(a, b)
+        direct = sum((a[:, k, None] - b[None, :, k]) ** 2 for k in range(n))
+        got = wolff._sq_distances(a, b)
         assert got.shape == (7, 3)
         assert np.array_equal(got, direct)
-    assert wolff._distances(np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)
+    assert wolff._sq_distances(np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)
 
 
 def test_tail_exists_classifier(pr213):
